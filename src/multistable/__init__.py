@@ -3,9 +3,9 @@ statistical checks of their incremental scaling and pathwise roughness."""
 
 __version__ = "0.1.0"
 
-from .engine import (PathSample, PoissonEnvironment, TruncationReport,
-                     build_environment, eval_diagonal_path, eval_field,
-                     tail_covariance, truncation_diagnostic)
+from .engine import (PoissonEnvironment, TruncationReport, build_environment,
+                     eval_diagonal_path, tail_covariance,
+                     truncation_diagnostic)
 from .estimate import (ECFReport, HolderEstimate, KSResult, MomentEstimate,
                        ScalingFit, SmallBallReport, condition_probe,
                        diagonal_samples, ecf_compare,
@@ -34,9 +34,8 @@ __all__ = [
     "lfsm_kernel", "make_process", "sigma_lmmm", "kink_power_integral",
     "pair_integral",
     # series engine
-    "PoissonEnvironment", "build_environment", "eval_field",
-    "eval_diagonal_path", "PathSample", "truncation_diagnostic",
-    "TruncationReport", "tail_covariance",
+    "PoissonEnvironment", "build_environment", "eval_diagonal_path",
+    "truncation_diagnostic", "TruncationReport", "tail_covariance",
     # estimation
     "MomentEstimate", "ScalingFit", "HolderEstimate", "SmallBallReport",
     "ECFReport", "KSResult", "diagonal_samples",

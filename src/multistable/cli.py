@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .engine import truncation_diagnostic
+from .engine import _substream, truncation_diagnostic
 from .estimate import (condition_probe, diagonal_samples, ecf_compare,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample)
@@ -99,7 +99,7 @@ def _need(cfg: dict, key: str, types, what: str):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r} ({what})")
     val = cfg[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):
         raise ConfigError(f"config key {key!r} must be {what}, "
                           f"got {type(val).__name__}")
     return val
@@ -180,13 +180,23 @@ def _levels(cfg_val, key: str) -> list[float]:
                       f"start_exp/stop_exp/base object")
 
 
+def _seed(cfg: dict, args) -> int:
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("config key 'seed' must be a non-negative integer")
+    return seed
+
+
+def _m_paths(cfg: dict) -> int:
+    m_paths = _need(cfg, "m_paths", int, "an integer >= 2")
+    if m_paths < 2:
+        raise ConfigError("config key 'm_paths' must be >= 2")
+    return m_paths
+
+
 def _common(cfg: dict, args) -> dict:
     """Effective run parameters after CLI overrides."""
-    seed = cfg.get("seed", 0)
-    if args.seed is not None:
-        seed = args.seed
-    if not isinstance(seed, int):
-        raise ConfigError("config key 'seed' must be an integer")
+    seed = _seed(cfg, args)
     n_terms = _need(cfg, "n_terms", int, "a positive integer")
     if n_terms < 1:
         raise ConfigError("config key 'n_terms' must be >= 1")
@@ -196,9 +206,9 @@ def _common(cfg: dict, args) -> dict:
     return {"seed": seed, "n_terms": n_terms, "tail": tail}
 
 
-def _manifest(out: Path, command: str, cfg: dict, run: dict, spec: ProcessSpec,
-              started: float, derived: dict, drop_counts: dict,
-              outputs: list[str]) -> None:
+def _manifest(out: Path, command: str, cfg: dict, run: dict,
+              spec: Optional[ProcessSpec], started: float, derived: dict,
+              drop_counts: dict, outputs: list[str]) -> None:
     effective = dict(cfg)
     effective["seed"] = run["seed"]
     if run["tail"] is not None:
@@ -212,7 +222,7 @@ def _manifest(out: Path, command: str, cfg: dict, run: dict, spec: ProcessSpec,
         "config": effective,
         "derived": derived,
         "drop_counts": drop_counts,
-        "warnings": list(spec.warnings),
+        "warnings": list(spec.warnings) if spec is not None else [],
         "outputs": outputs,
     }
     with open(out / "manifest.json", "w", newline="\n") as fh:
@@ -335,7 +345,7 @@ def cmd_moments(cfg: dict, args) -> int:
     t = _need(cfg, "t", (int, float), "a time in the domain")
     eta = _need(cfg, "eta", (int, float), "a moment order")
     eps = _levels(cfg.get("eps"), "eps")
-    m_paths = _need(cfg, "m_paths", int, "a positive integer")
+    m_paths = _m_paths(cfg)
     me = estimate_increment_moments(spec, float(t), float(eta), eps, m_paths,
                                     run["n_terms"], run["seed"], tail=tail,
                                     workers=args.workers)
@@ -380,7 +390,7 @@ def cmd_holder(cfg: dict, args) -> int:
     else:
         raise ConfigError("config key 't' must be a time or list of times")
     r_levels = _levels(cfg.get("r"), "r")
-    m_paths = _need(cfg, "m_paths", int, "a positive integer")
+    m_paths = _m_paths(cfg)
     reg = _opt_number(cfg, "alpha_regularity", None)
     rows = []
     drops = {}
@@ -440,8 +450,7 @@ def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
     spec = build_spec(vcfg)
     vals = diagonal_samples(spec, [1.0], m, n_terms, run["seed"],
                             tail="gauss", workers=args.workers)[:, 0]
-    ref = cms_sample(a0, 1.0, np.random.default_rng(
-        np.random.SeedSequence((run["seed"], 12345))), m)
+    ref = cms_sample(a0, 1.0, _substream(run["seed"], 0, "reference"), m)
     ks = ks_two_sample(vals, ref)
     checks.append(("marginal-ks", ks.statistic, ks.crit_01,
                    ks.statistic <= ks.crit_01))
@@ -478,7 +487,7 @@ def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
 
 def cmd_verify(cfg: dict, args) -> int:
     started = time.monotonic()
-    run = {"seed": cfg.get("seed", 0) if args.seed is None else args.seed,
+    run = {"seed": _seed(cfg, args),
            "n_terms": int(cfg.get("n_terms", 4000)),
            "tail": cfg.get("tail")}
     import warnings as _warnings
@@ -499,14 +508,7 @@ def cmd_verify(cfg: dict, args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {val:.6g} "
               f"(threshold {thr:.6g})")
         all_ok = all_ok and ok
-    doc = {"kind": "run_manifest", "command": "verify",
-           "version": __version__,
-           "wall_clock_s": time.monotonic() - started, "config": dict(cfg),
-           "n_terms": run["n_terms"], "derived": {}, "drop_counts": {},
-           "warnings": [], "outputs": ["verify.csv"]}
-    with open(out / "manifest.json", "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _manifest(out, "verify", cfg, run, None, started, {}, {}, ["verify.csv"])
     return 0 if all_ok else 4
 
 

@@ -1,18 +1,22 @@
-"""Series construction: Poisson environments and field evaluation.
+"""Series construction: Poisson environments and path evaluation.
 
 An environment is the full set of random ingredients for one realization:
 arrival times Gamma_i (unit-rate Poisson), points V_i drawn from m-hat,
-Rademacher signs gamma_i, and the weights w(V_i).  Field values are the
+Rademacher signs gamma_i, and the weights w(V_i).  Path values are the
 truncated sums
 
-    X(t,u) = b(u) C_alpha(u)^(1/alpha(u))
-             * sum_i gamma_i Gamma_i^(-1/alpha(u)) w(V_i)^(1/alpha(u)) f(t,u,V_i)
+    Y(t) = b(t) C_alpha(t)^(1/alpha(t))
+           * sum_i gamma_i Gamma_i^(-1/alpha(t)) w(V_i)^(1/alpha(t)) f(t,t,V_i)
 
-in ascending index order, and the diagonal path is Y(t) = X(t,t).
+in ascending index order.  This module is the only code that turns
+(seed, index) into an environment and an environment into path values;
+the estimators build and evaluate one environment at a time through it.
 
-Each environment owns four independent generator substreams keyed by
-(seed, index, stream): arrivals, points, signs, and the Gaussian draw used
-by the optional truncation-tail completion.  Substreams make results
+Every random draw comes from a generator substream keyed by
+(seed, index, stream), with the stream word taken from one table.  Each
+environment owns four: arrivals, points, signs, and the Gaussian draw used
+by the optional truncation-tail completion.  The bootstrap and reference
+draws take stream words no environment uses.  Substreams make results
 independent of batching: the same (seed, index) always yields the same
 environment no matter how many workers produced its neighbours, and a
 doubled-length environment extends the shorter one exactly (same prefix).
@@ -33,9 +37,7 @@ from .stable import c_alpha
 __all__ = [
     "PoissonEnvironment",
     "build_environment",
-    "eval_field",
     "eval_diagonal_path",
-    "PathSample",
     "TruncationReport",
     "truncation_diagnostic",
     "tail_covariance",
@@ -43,83 +45,73 @@ __all__ = [
     "tail_draw",
 ]
 
-_STREAM_ARRIVALS = 0
-_STREAM_POINTS = 1
-_STREAM_SIGNS = 2
-_STREAM_TAIL = 3
+# stream word of each purpose.  NumPy pads a short key with zero words, so
+# (seed, index, 0) is also the key (seed, index); the non-environment
+# purposes therefore end in a nonzero word that no environment stream uses,
+# which keeps every pair of purposes apart for seeds and indices below 2^32.
+_STREAMS = {"arrivals": 0, "points": 1, "signs": 2, "tail": 3,
+            "bootstrap": 4, "reference": 5}
 
 
-def _substream(seed: int, index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index, stream)))
+def _substream(seed: int, index: int, purpose: str) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, index, _STREAMS[purpose])))
 
 
 @dataclass(frozen=True)
 class PoissonEnvironment:
-    arrivals: np.ndarray  # Gamma_1 < Gamma_2 < ... (ascending, length n_terms)
+    arrivals: np.ndarray  # Gamma_1 < Gamma_2 < ... (ascending)
     points: np.ndarray    # V_i
     signs: np.ndarray     # gamma_i in {-1, +1}
     weights: np.ndarray   # w(V_i)
-    n_terms: int
-    seed: int
-    index: int
 
 
 def build_environment(spec: ProcessSpec, n_terms: int, seed: int,
                       index: int = 0) -> PoissonEnvironment:
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms!r}")
-    g_arr = _substream(seed, index, _STREAM_ARRIVALS)
-    g_pts = _substream(seed, index, _STREAM_POINTS)
-    g_sgn = _substream(seed, index, _STREAM_SIGNS)
-    arrivals = np.cumsum(g_arr.standard_exponential(n_terms))
-    points, weights = spec.measure.sample(g_pts, n_terms)
-    signs = np.where(g_sgn.random(n_terms) < 0.5, -1.0, 1.0)
+    arrivals = np.cumsum(
+        _substream(seed, index, "arrivals").standard_exponential(n_terms))
+    points, weights = spec.measure.sample(_substream(seed, index, "points"),
+                                          n_terms)
+    signs = np.where(_substream(seed, index, "signs").random(n_terms) < 0.5,
+                     -1.0, 1.0)
     return PoissonEnvironment(arrivals=arrivals, points=points, signs=signs,
-                              weights=weights, n_terms=n_terms, seed=seed,
-                              index=index)
+                              weights=weights)
 
 
-def _scale_at(spec: ProcessSpec, u: float) -> tuple[float, float]:
-    """(prefactor b(u) C_alpha^(1/alpha), exponent 1/alpha(u))."""
-    a = spec.alpha(u)
-    if not 0.0 < a < 2.0:
-        raise ValueError(f"alpha({u!r}) = {a!r} outside (0,2)")
-    s = 1.0 / a
-    return spec.b(u) * c_alpha(a) ** s, s
+def _grid_scales(spec: ProcessSpec,
+                 us: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Prefactors b(u) C_alpha(u)^(1/alpha(u)) and exponents 1/alpha(u)."""
+    prefs = np.empty(len(us))
+    ss = np.empty(len(us))
+    for i, u in enumerate(us):
+        a = spec.alpha(float(u))
+        if not 0.0 < a < 2.0:
+            raise ValueError(f"alpha({float(u)!r}) = {a!r} outside (0,2)")
+        ss[i] = 1.0 / a
+        prefs[i] = spec.b(float(u)) * c_alpha(a) ** ss[i]
+    return prefs, ss
 
 
-def eval_field(env: PoissonEnvironment, spec: ProcessSpec,
-               t: float, u: float) -> float:
-    """Truncated series value X(t,u) for one environment."""
-    pref, s = _scale_at(spec, u)
-    f = spec.kernel.evaluate(t, u, env.points)
-    terms = env.signs * env.arrivals ** (-s) * env.weights ** s * f
-    return pref * float(np.sum(terms))
-
-
-@dataclass(frozen=True)
-class PathSample:
-    grid: np.ndarray
-    values: np.ndarray
-    n_terms: int
-    seed: int
-    index: int
+def _diagonal_values(env: PoissonEnvironment, spec: ProcessSpec,
+                     grid: np.ndarray, prefs: np.ndarray,
+                     ss: np.ndarray) -> np.ndarray:
+    """Y(t) of one environment on the grid, given its _grid_scales."""
+    log_ratio = np.log(env.weights) - np.log(env.arrivals)
+    values = np.empty(grid.shape[0])
+    for g, t in enumerate(grid):
+        f = spec.kernel.evaluate(float(t), float(t), env.points)
+        values[g] = prefs[g] * np.sum(env.signs * np.exp(ss[g] * log_ratio)
+                                      * f)
+    return values
 
 
 def eval_diagonal_path(env: PoissonEnvironment, spec: ProcessSpec,
-                       grid: Sequence[float]) -> PathSample:
-    """Y(t) = X(t,t) on an arbitrary grid, one shared environment."""
+                       grid: Sequence[float]) -> np.ndarray:
+    """Y(t) on an arbitrary grid, one shared environment."""
     grid = np.asarray(grid, dtype=float)
-    log_arr = np.log(env.arrivals)
-    log_w = np.log(env.weights)
-    values = np.empty(grid.shape[0])
-    for i, t in enumerate(grid):
-        pref, s = _scale_at(spec, float(t))
-        f = spec.kernel.evaluate(float(t), float(t), env.points)
-        values[i] = pref * float(np.sum(
-            env.signs * np.exp(s * (log_w - log_arr)) * f))
-    return PathSample(grid=grid, values=values, n_terms=env.n_terms,
-                      seed=env.seed, index=env.index)
+    return _diagonal_values(env, spec, grid, *_grid_scales(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +132,7 @@ def tail_covariance(spec: ProcessSpec, points: Sequence[tuple[float, float]],
     uses E[Gamma_i^(-c)] ~ i^(-c) for the high arrival indices.
     """
     G = len(points)
-    prefs = np.empty(G)
-    ss = np.empty(G)
-    for i, (t, u) in enumerate(points):
-        prefs[i], ss[i] = _scale_at(spec, u)
+    prefs, ss = _grid_scales(spec, [u for _, u in points])
     cov = np.empty((G, G))
     for i in range(G):
         for j in range(i, G):
@@ -169,8 +158,8 @@ def tail_sqrt(cov: np.ndarray) -> np.ndarray:
 
 
 def tail_draw(cov_chol: np.ndarray, seed: int, index: int) -> np.ndarray:
-    """Gaussian tail-completion sample for one environment (stream 3)."""
-    g = _substream(seed, index, _STREAM_TAIL)
+    """Gaussian tail-completion sample for one environment."""
+    g = _substream(seed, index, "tail")
     return cov_chol @ g.standard_normal(cov_chol.shape[0])
 
 
@@ -192,19 +181,18 @@ def truncation_diagnostic(spec: ProcessSpec, grid: Sequence[float],
     """Compare pilot paths at N terms against the same environments extended
     to 2N (substreams share prefixes, so the extension is exact)."""
     grid = np.asarray(grid, dtype=float)
+    prefs, ss = _grid_scales(spec, grid)
     worst = 0.0
     max_term = 0.0
     for p in range(pilot):
         env2 = build_environment(spec, 2 * n_terms, seed, p)
         env1 = PoissonEnvironment(
             arrivals=env2.arrivals[:n_terms], points=env2.points[:n_terms],
-            signs=env2.signs[:n_terms], weights=env2.weights[:n_terms],
-            n_terms=n_terms, seed=seed, index=p)
-        y1 = eval_diagonal_path(env1, spec, grid).values
-        y2 = eval_diagonal_path(env2, spec, grid).values
+            signs=env2.signs[:n_terms], weights=env2.weights[:n_terms])
+        y1 = _diagonal_values(env1, spec, grid, prefs, ss)
+        y2 = _diagonal_values(env2, spec, grid, prefs, ss)
         worst = max(worst, float(np.max(np.abs(y2 - y1))))
-        for t in grid:
-            _, s = _scale_at(spec, float(t))
+        for t, s in zip(grid, ss):
             f = spec.kernel.evaluate(float(t), float(t), env2.points)
             max_term = max(max_term, float(np.max(
                 np.abs(env2.weights ** s * f))))

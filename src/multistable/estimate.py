@@ -2,11 +2,11 @@
 slopes, small-ball probes, increment characteristic functions, and the
 localisability condition probes.
 
-Monte Carlo estimators draw one fresh environment per path.  Because each
-environment is keyed by (seed, index) alone, results are reproducible and
-independent of the worker count: chunks of the index range can be evaluated
-on any number of threads and reassembled by index before a single
-deterministic reduction.
+Monte Carlo estimators draw one fresh environment per path, built and
+evaluated one at a time by the engine.  Because each environment is keyed by
+(seed, index) alone, results are reproducible and independent of the worker
+count: chunks of the index range can be evaluated on any number of threads
+and reassembled by index before a single deterministic reduction.
 
 Truncated series lose the summed tail beyond the largest arrival; by default
 the estimators complete each value with a Gaussian draw matching the exact
@@ -24,9 +24,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import tail_covariance, tail_draw, tail_sqrt, _substream
+from .engine import (_diagonal_values, _grid_scales, _substream,
+                     build_environment, tail_covariance, tail_draw, tail_sqrt)
 from .kernels import ProcessSpec, kink_power_integral, sigma_lmmm
-from .stable import (QuadratureConfig, c_alpha, sas_abs_moment, sin2_integral,
+from .stable import (QuadratureConfig, c_alpha, sas_abs_moment,
                      sin2_phase_integral)
 
 __all__ = [
@@ -48,49 +49,23 @@ __all__ = [
     "ks_two_sample",
 ]
 
-_CHUNK = 128  # fixed batch size so chunk boundaries never depend on workers
+# environments per pool task: chunks only set how work is scheduled, never
+# the values, since every environment is built and evaluated on its own
+_CHUNK = 128
 
-_BOOT_STREAM = 777
 _BOOT_RESAMPLES = 2000
-
-
-def _spec_scales(spec: ProcessSpec, grid: np.ndarray):
-    prefs = np.empty(grid.shape[0])
-    ss = np.empty(grid.shape[0])
-    for i, t in enumerate(grid):
-        a = spec.alpha(float(t))
-        if not 0.0 < a < 2.0:
-            raise ValueError(f"alpha({t!r}) = {a!r} outside (0,2)")
-        ss[i] = 1.0 / a
-        prefs[i] = spec.b(float(t)) * c_alpha(a) ** ss[i]
-    return prefs, ss
 
 
 def _chunk_values(spec: ProcessSpec, grid: np.ndarray, prefs: np.ndarray,
                   ss: np.ndarray, chol: Optional[np.ndarray], n_terms: int,
                   seed: int, lo: int, hi: int) -> np.ndarray:
     """Y(t) for environments lo..hi-1 on the grid, shape (hi-lo, G)."""
-    B = hi - lo
-    gam = np.empty((B, n_terms))
-    pts = np.empty((B, n_terms))
-    wts = np.empty((B, n_terms))
-    sgn = np.empty((B, n_terms))
-    for k in range(B):
-        idx = lo + k
-        gam[k] = np.cumsum(
-            _substream(seed, idx, 0).standard_exponential(n_terms))
-        pts[k], wts[k] = spec.measure.sample(_substream(seed, idx, 1), n_terms)
-        sgn[k] = np.where(_substream(seed, idx, 2).random(n_terms) < 0.5,
-                          -1.0, 1.0)
-    log_ratio = np.log(wts) - np.log(gam)
-    out = np.empty((B, grid.shape[0]))
-    for g, t in enumerate(grid):
-        f = spec.kernel.evaluate(float(t), float(t), pts)
-        out[:, g] = prefs[g] * np.sum(sgn * np.exp(ss[g] * log_ratio) * f,
-                                      axis=1)
-    if chol is not None:
-        for k in range(B):
-            out[k] += tail_draw(chol, seed, lo + k)
+    out = np.empty((hi - lo, grid.shape[0]))
+    for k, index in enumerate(range(lo, hi)):
+        env = build_environment(spec, n_terms, seed, index)
+        out[k] = _diagonal_values(env, spec, grid, prefs, ss)
+        if chol is not None:
+            out[k] += tail_draw(chol, seed, index)
     return out
 
 
@@ -102,7 +77,7 @@ def diagonal_samples(spec: ProcessSpec, grid: Sequence[float], m_paths: int,
     if tail not in ("gauss", "none"):
         raise ValueError(f"unknown tail mode {tail!r}")
     grid = np.asarray(grid, dtype=float)
-    prefs, ss = _spec_scales(spec, grid)
+    prefs, ss = _grid_scales(spec, grid)
     chol = None
     if tail == "gauss":
         cov = tail_covariance(spec, [(float(t), float(t)) for t in grid],
@@ -279,7 +254,7 @@ def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
         raise ValueError("every path lost all increments; widen r_levels")
     slopes = np.asarray(slopes)
     est = float(np.median(slopes))
-    boot_rng = _substream(seed, _BOOT_STREAM, 0)
+    boot_rng = _substream(seed, 0, "bootstrap")
     idx = boot_rng.integers(0, slopes.shape[0],
                             size=(_BOOT_RESAMPLES, slopes.shape[0]))
     boot = np.median(slopes[idx], axis=1)
@@ -363,7 +338,8 @@ def levy_increment_cf(spec: ProcessSpec, t: float, r: float, v: float,
     q1 = abs(v) * abs(spec.b(t)) * c_alpha(a1) ** s1 / scale
     q2 = abs(v) * abs(spec.b(t + r)) * c_alpha(a2) ** s2 / scale
     i_both = sin2_phase_integral(q1, s1, q2, s2, quad)
-    i_single = a2 * q2 ** a2 * sin2_integral(a2, quad)
+    # a2 q2^a2 int u^(-a2-1) sin^2 u du, in closed form
+    i_single = q2 ** a2 * 2.0 ** (a2 - 1.0) / c_alpha(a2)
     return math.exp(-2.0 * (t * i_both + r * i_single))
 
 

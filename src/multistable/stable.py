@@ -1,18 +1,18 @@
 """Stable-law special functions and an independent stable sampler.
 
-The normalizing constant ``C_eta`` enters every LePage series; the sin^2 tail
-integral and the Gamma factor build the exact fractional absolute moment of a
-symmetric alpha-stable law; the Chambers-Mallows-Stuck transform provides
-stable variates that never touch the series code, so the two can oracle each
-other.  A phase-difference generalization of the sin^2 integral powers the
-numeric characteristic function of process increments.
+The normalizing constant ``C_eta`` enters every LePage series; with a Gamma
+factor it gives the exact fractional absolute moment of a symmetric
+alpha-stable law in closed form, and the sin^2 tail integral is the
+quadrature reference for that closed form; the Chambers-Mallows-Stuck
+transform provides stable variates that never touch the series code, so the
+two can oracle each other.  A phase-difference generalization of the sin^2
+integral powers the numeric characteristic function of process increments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -83,8 +83,15 @@ def _euler_sum(terms: list[float]) -> float:
     return partial[-1]
 
 
-@lru_cache(maxsize=512)
-def _sin2_integral_cached(eta: float, cfg: QuadratureConfig) -> float:
+def sin2_integral(eta: float, cfg: QuadratureConfig | None = None) -> float:
+    """int_0^inf u^(-eta-1) sin^2(u) du by oscillatory quadrature, eta in (0,2).
+
+    The closed form is 2^(eta-1) / (eta C_eta); production code uses that,
+    and this quadrature is the independent reference that checks it.
+    """
+    if not 0.0 < eta < 2.0:
+        raise ValueError(f"eta must lie in (0,2), got {eta!r}")
+    cfg = cfg or _DEFAULT_QUAD
     u0 = 0.5 * math.pi
     head, _ = quad(lambda u: u ** (-eta - 1.0) * math.sin(u) ** 2, 0.0, u0,
                    epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
@@ -108,15 +115,9 @@ def _sin2_integral_cached(eta: float, cfg: QuadratureConfig) -> float:
     return head + flat - 0.5 * osc
 
 
-def sin2_integral(eta: float, cfg: QuadratureConfig | None = None) -> float:
-    """int_0^inf u^(-eta-1) sin^2(u) du by oscillatory quadrature, eta in (0,2)."""
-    if not 0.0 < eta < 2.0:
-        raise ValueError(f"eta must lie in (0,2), got {eta!r}")
-    return _sin2_integral_cached(float(eta), cfg or _DEFAULT_QUAD)
-
-
 def sas_abs_moment(alpha: float, sigma: float, eta: float) -> float:
-    """Exact E|X|^eta for X symmetric alpha-stable with scale sigma.
+    """Exact E|X|^eta = sigma^eta Gamma(1 - eta/alpha) C_eta for X symmetric
+    alpha-stable with scale sigma.
 
     Requires 0 < eta < alpha (the moment is infinite at eta >= alpha).
     """
@@ -126,8 +127,7 @@ def sas_abs_moment(alpha: float, sigma: float, eta: float) -> float:
         raise ValueError(f"eta must lie in (0,alpha), got eta={eta!r}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return (sigma ** eta * 2.0 ** (eta - 1.0) * gamma_fn(1.0 - eta / alpha)
-            / (eta * sin2_integral(eta)))
+    return sigma ** eta * gamma_fn(1.0 - eta / alpha) * c_alpha(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import record_acceptance
 from multistable.cli import main
+from multistable.engine import _substream
 from multistable.estimate import (diagonal_samples, ecf_compare,
                                   estimate_increment_moments, fit_scaling,
                                   holder_pathwise, ks_two_sample,
@@ -89,8 +90,7 @@ def test_stable_law_oracle():
                             (0.0, 1.0), max(0.3, a - 0.1),
                             min(1.95, a + 0.1))
         vals = diagonal_samples(spec, [1.0], 20000, 20000, seed=2)[:, 0]
-        ref = cms_sample(a, 1.0, np.random.default_rng(
-            np.random.SeedSequence((2, 555, k))), 20000)
+        ref = cms_sample(a, 1.0, _substream(2, k, "reference"), 20000)
         ks = ks_two_sample(vals, ref)
         crit = ks.crit_01
         if ks.statistic > worst_stat:

@@ -80,6 +80,7 @@ class TestConfigErrors:
 
     def test_non_integer_seed(self, tmp_path):
         assert _run(tmp_path, _path_cfg(seed="three"), "path") == 2
+        assert _run(tmp_path, _path_cfg(seed=-1), "path") == 2
 
     def test_unreadable_config(self, tmp_path, capsys):
         rc = main(["path", "--config", str(tmp_path / "absent.json")])
@@ -95,6 +96,19 @@ class TestConfigErrors:
     def test_workers_must_be_positive(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, _path_cfg())
         assert main(["path", "--config", cfg_path, "--workers", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["moments", "holder"])
+    def test_single_path_rejected(self, tmp_path, capsys, command):
+        # one path has no standard error: the run must not write nan
+        cfg = _moments_cfg(m_paths=1, r=[2.0 ** -4, 2.0 ** -5])
+        assert _run(tmp_path, cfg, command) == 2
+        assert "m_paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["m_paths", "n_terms", "seed"])
+    def test_bool_rejected_where_int_expected(self, tmp_path, capsys, key):
+        assert _run(tmp_path, _moments_cfg(**{key: True}), "moments") == 2
+        assert key in capsys.readouterr().err
 
     def test_eps_levels_validation(self, tmp_path):
         assert _run(tmp_path, _moments_cfg(eps=[0.1, -0.2]), "moments") == 2
@@ -252,6 +266,17 @@ class TestVerifyCommand:
         assert _run(tmp_path, cfg, "verify") == 4
         console = capsys.readouterr().out
         assert "[FAIL] quadrature-identity" in console
+
+    def test_manifest_reruns_identically(self, tmp_path):
+        cfg_path = _write(tmp_path, dict(VERIFY_SIZES))
+        main(["verify", "--config", cfg_path, "--out", str(tmp_path / "a"),
+              "--seed", "5"])
+        main(["verify", "--config", str(tmp_path / "a" / "manifest.json"),
+              "--out", str(tmp_path / "b")])
+        assert ((tmp_path / "a" / "verify.csv").read_bytes()
+                == (tmp_path / "b" / "verify.csv").read_bytes())
+        man = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert man["config"]["seed"] == 5
 
     def test_scale_fault_is_caught_by_marginal_ks(self, tmp_path, capsys):
         cfg = dict(VERIFY_SIZES, fault_c_alpha_scale=1.5)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import zeta
 
-from multistable.engine import (build_environment, eval_diagonal_path,
-                                eval_field, tail_covariance, tail_draw,
-                                tail_sqrt, truncation_diagnostic)
+from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
+                                build_environment, eval_diagonal_path,
+                                tail_covariance, tail_draw, tail_sqrt,
+                                truncation_diagnostic)
 from multistable.expr import FuncSpec
 from multistable.kernels import make_process
 from multistable.stable import c_alpha
@@ -78,12 +81,11 @@ class TestFieldEvaluation:
     def test_sign_flip_negates_field_exactly(self):
         spec = _lmmm_spec()
         env = build_environment(spec, 400, seed=21)
-        flipped = type(env)(arrivals=env.arrivals, points=env.points,
-                            signs=-env.signs, weights=env.weights,
-                            n_terms=env.n_terms, seed=env.seed,
-                            index=env.index)
-        for t, u in ((0.2, 0.4), (0.8, 0.8)):
-            assert eval_field(flipped, spec, t, u) == -eval_field(env, spec, t, u)
+        flipped = PoissonEnvironment(arrivals=env.arrivals, points=env.points,
+                                     signs=-env.signs, weights=env.weights)
+        grid = [0.2, 0.4, 0.8]
+        assert np.array_equal(eval_diagonal_path(flipped, spec, grid),
+                              -eval_diagonal_path(env, spec, grid))
 
     def test_levy_path_is_piecewise_constant_between_points(self):
         # under constant alpha the indicator kernel makes Y a pure jump
@@ -94,7 +96,7 @@ class TestFieldEvaluation:
         mid = 0.5 * (pts[50] + pts[51])
         eps = 0.25 * (pts[51] - pts[50])
         path = eval_diagonal_path(env, spec, [mid - eps, mid, mid + eps])
-        assert path.values[0] == path.values[1] == path.values[2]
+        assert path[0] == path[1] == path[2]
 
     def test_levy_jump_at_marked_point(self):
         spec = _levy_spec(alpha="1.5")
@@ -102,15 +104,22 @@ class TestFieldEvaluation:
         pts = np.sort(env.points)
         x = pts[100]
         path = eval_diagonal_path(env, spec, [math.nextafter(x, 0.0), x])
-        assert path.values[0] != path.values[1]
+        assert path[0] != path[1]
 
     def test_diagonal_matches_pointwise_field(self):
+        # the series written out term by term, in power form rather than
+        # the evaluator's exp-log form
         spec = _lmmm_spec()
         env = build_environment(spec, 300, seed=17)
         grid = [0.1, 0.45, 0.9]
         path = eval_diagonal_path(env, spec, grid)
-        for t, v in zip(grid, path.values):
-            assert abs(v - eval_field(env, spec, t, t)) < 1e-12 * max(1.0, abs(v))
+        for t, v in zip(grid, path):
+            a = spec.alpha(t)
+            s = 1.0 / a
+            f = spec.kernel.evaluate(t, t, env.points)
+            want = spec.b(t) * c_alpha(a) ** s * float(np.sum(
+                env.signs * env.arrivals ** (-s) * env.weights ** s * f))
+            assert abs(v - want) < 1e-12 * max(1.0, abs(v))
 
     def test_alpha_outside_range_raises(self):
         spec = _levy_spec()
@@ -121,7 +130,7 @@ class TestFieldEvaluation:
                             _fs("1", (0.0, 0.04)), None, (0.0, 0.04),
                             0.5, 1.95)
         with pytest.raises(ValueError, match="outside"):
-            eval_field(env, wild, 0.9, 0.9)
+            eval_diagonal_path(env, wild, [0.02, 0.9])
 
 
 class TestTailCovariance:
@@ -191,3 +200,35 @@ class TestTruncationDiagnostic:
         r1 = truncation_diagnostic(spec, grid, 500, seed=31)
         r2 = truncation_diagnostic(spec, grid, 4000, seed=31)
         assert r2.tail_proxy < r1.tail_proxy
+
+
+def _key(seed, index, purpose):
+    # the entropy words of the generator's key, trailing zeros stripped:
+    # NumPy pads a short key with zero words, so a key and the same key with
+    # trailing zeros name one generator
+    key = list(_substream(seed, index, purpose).bit_generator.seed_seq.entropy)
+    while key and key[-1] == 0:
+        key.pop()
+    return tuple(key)
+
+
+_WORD = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+class TestStreamKeys:
+    def test_padding_makes_trailing_zeros_collide(self):
+        a = np.random.default_rng(np.random.SeedSequence((5, 12345)))
+        b = np.random.default_rng(np.random.SeedSequence((5, 12345, 0)))
+        assert np.array_equal(a.random(4), b.random(4))
+
+    def test_environment_keys_are_seed_index_stream(self):
+        keys = [_substream(7, 3, p).bit_generator.seed_seq.entropy
+                for p in ("arrivals", "points", "signs", "tail")]
+        assert keys == [(7, 3, 0), (7, 3, 1), (7, 3, 2), (7, 3, 3)]
+
+    @given(seed_a=_WORD, index_a=_WORD, seed_b=_WORD, index_b=_WORD,
+           purposes=st.permutations(sorted(_STREAMS)))
+    def test_purposes_never_share_a_key(self, seed_a, index_a, seed_b,
+                                        index_b, purposes):
+        a, b = purposes[:2]
+        assert _key(seed_a, index_a, a) != _key(seed_b, index_b, b)

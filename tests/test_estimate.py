@@ -9,6 +9,7 @@ from multistable.estimate import (MomentEstimate, condition_probe,
                                   holder_pathwise, ks_two_sample,
                                   levy_increment_cf, small_ball_probe,
                                   theoretical_scaling)
+from multistable.engine import build_environment, eval_diagonal_path
 from multistable.expr import FuncSpec
 from multistable.kernels import kink_power_integral, make_process, sigma_lmmm
 from multistable.stable import sas_abs_moment
@@ -52,6 +53,20 @@ class TestDiagonalSamples:
         with pytest.raises(ValueError, match="tail"):
             diagonal_samples(_levy_spec(), [0.5], 2, 50, seed=1,
                              tail="bogus")
+
+    @pytest.mark.parametrize("process", ["levy", "lmmm", "lfsm-control"])
+    def test_rows_are_the_engine_evaluator(self, process):
+        # one path from environment to value: each row is the evaluator
+        # applied to the environment of its index, bit for bit
+        H = None if process == "levy" else _fs("0.8")
+        spec = make_process(process, _fs("1.6+0.2*t"), _fs("1"), H,
+                            (0.0, 1.0), 1.3, 1.9, b_plus=1.0, b_minus=0.5)
+        grid = [0.15, 0.5, 0.85]
+        vals = diagonal_samples(spec, grid, 140, 300, seed=4, tail="none",
+                                index_offset=70)
+        for i, row in enumerate(vals):
+            env = build_environment(spec, 300, 4, 70 + i)
+            assert np.array_equal(row, eval_diagonal_path(env, spec, grid))
 
     def test_tail_none_differs_from_gauss(self):
         spec = _levy_spec()

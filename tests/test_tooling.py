@@ -1,0 +1,55 @@
+"""Smoke test of the benchmark's layer tracer against the current package.
+
+The tracer in perfbench/layertrace.py wraps package functions by name; a
+renamed or removed function makes a traced benchmark run stop.  Each case
+runs one tiny traced CLI job through perfbench/child.py in a fresh
+interpreter, as the benchmark does.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
+
+LMMM = {"process": "lmmm", "alpha": "1.7+0.2*sin(2*pi*t)", "H": "0.7+0.1*t",
+        "stability_bounds": [1.45, 1.95], "domain": [0.0, 1.0],
+        "n_terms": 200}
+
+CASES = {
+    "path": {**LMMM, "grid": {"start": 0.0, "stop": 1.0, "n": 5},
+             "n_paths": 3, "tail": "none"},
+    "moments": {**LMMM, "t": 0.3, "eta": 0.5, "m_paths": 20,
+                "eps": [2.0 ** -4, 2.0 ** -5]},
+    "holder": {**LMMM, "t": 0.5, "r": [2.0 ** -4, 2.0 ** -5], "m_paths": 20,
+               "tail": "gauss"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_traced_child_run(tmp_path, command):
+    cfg = CASES[command]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    job = {"src": str(ROOT / "src"), "config": cfg, "trace": True,
+           "argv": [command, "--config", str(tmp_path / "config.json"),
+                    "--out", str(tmp_path / "out"), "--seed", "0"],
+           "result": str(tmp_path / "result.json")}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    proc = subprocess.run([sys.executable, str(CHILD),
+                           str(tmp_path / "job.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["rc"] == 0
+    layers = result["layers"]
+    for key in ("estimate.diagonal_samples.calls", "kernels.evaluate.calls",
+                "kernels.sample.calls", "expr.calls", "cli.calls"):
+        assert layers[key] > 0, key
+    assert layers["cli.csv_bytes"] > 0
+    if command != "path":
+        assert layers["estimate.reduce.calls"] > 0
+        assert layers["engine.tail_draw.calls"] > 0
