@@ -12,20 +12,9 @@ applied), the package version, wall-clock time, and derived constants.  A
 manifest is itself a valid --config: re-running from it reproduces the CSV
 files byte for byte.
 
-Config keys shared by all commands:
-
-  process            "levy" | "lmmm" | "lfsm-control"
-  alpha              expression in t, e.g. "1.5+0.3*sin(2*pi*t)"
-  b                  scale expression (default "1")
-  H                  expression, required for lmmm / lfsm-control
-  b_plus, b_minus    side weights for lfsm-control (default 1)
-  domain             [lo, hi] evaluation interval (default [0, 1])
-  stability_bounds   [c, d] with 0 < c <= d < 2; alpha must stay inside
-  n_terms            series truncation length
-  seed               base seed (overridden by --seed)
-  tail               "gauss" | "none": complete truncated values with a
-                     Gaussian tail surrogate (default "gauss"; paths
-                     default to "none" so the series is reported as is)
+The config keys, their types, bounds, defaults and the commands that read
+them are listed in SCHEMA below and in the config table of README.md.
+main checks every key the command reads before any work runs.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 failed
 verification.
@@ -38,22 +27,25 @@ import json
 import math
 import sys
 import time
+import warnings
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.integrate import IntegrationWarning
 
 from . import __version__
 from .engine import _substream, truncation_diagnostic
 from .estimate import (condition_probe, diagonal_samples, ecf_compare,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample)
-from .expr import ExprError, FuncSpec
+from .expr import ExprError, FuncSpec, validate_range
 from .kernels import ProcessSpec, make_process, sigma_lmmm
 from .stable import QuadratureConfig, c_alpha, cms_sample, sin2_integral
 
 __all__ = ["main", "cmd_path", "cmd_moments", "cmd_holder", "cmd_verify",
-           "ConfigError"]
+           "build_spec", "check_config", "SCHEMA", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -76,7 +68,127 @@ def _write_csv(path: Path, header: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config schema: every key a command reads, checked before any work runs
+
+
+def _ok(cond: bool, value):
+    """value if cond holds; the parsers below reject with ValueError."""
+    if not cond:
+        raise ValueError
+    return value
+
+
+def _number(v) -> float:
+    # exact types, so that true and false are not numbers
+    return float(_ok(type(v) in (int, float) and math.isfinite(v), v))
+
+
+def _parse_levels(v) -> list[float]:
+    """An explicit list or the family base^start_exp .. base^stop_exp."""
+    if type(v) is dict:
+        a, z = v.get("start_exp"), v.get("stop_exp")
+        base = _number(v.get("base", 2))
+        # the smallest level must not underflow, which also bounds the range
+        _ok(type(a) is int and type(z) is int and base > 1.0
+            and base ** min(a, z) > 0.0, v)
+        step = -1 if z < a else 1
+        levels = [base ** k for k in range(a, z + step, step)]
+    else:
+        levels = [_number(x) for x in _ok(type(v) is list, v)]
+    return _ok(len(set(levels)) >= 2 and min(levels) > 0.0, levels)
+
+
+def _times(v) -> list[float]:
+    ts = [_number(x) for x in v] if type(v) is list else [_number(v)]
+    return _ok(len(ts) > 0, ts)
+
+
+def _grid(v) -> np.ndarray:
+    if type(v) is dict:
+        n = _ok(type(v.get("n")) is int and v["n"] >= 2, v.get("n"))
+        return np.linspace(_number(v.get("start")), _number(v.get("stop")), n)
+    return np.asarray(_ok(type(v) is list and len(v) >= 2, _times(v)))
+
+
+def _pair(ok):
+    def parse(v):
+        p = tuple(_number(x) for x in _ok(type(v) is list and len(v) == 2, v))
+        return _ok(ok(*p), p)
+    return parse
+
+
+# (what, parse) pairs: type and bounds as messages state them, and the parser
+def _int(lo):
+    return f"an integer >= {lo}", lambda v: _ok(type(v) is int and v >= lo, v)
+
+
+def _one_of(*options):
+    return ("one of " + ", ".join(map(json.dumps, options)),
+            lambda v: _ok(type(v) is str and v in options, v))
+
+
+_EXPR = ("an expression in t", lambda v: _ok(type(v) is str, v))
+_POSITIVE = ("a number > 0", lambda v: _ok(_number(v) > 0.0, float(v)))
+_LEVELS = ("two or more distinct positive levels: a list, or {start_exp, "
+           "stop_exp, base} with integer exponents, base > 1", _parse_levels)
+
+# a default is a checked value, or _REQUIRED
+_Key = namedtuple("_Key", "name what parse default commands")
+_REQUIRED = object()
+_SIM = ("path", "moments", "holder")
+
+# README.md mirrors this table.  check_config adds the cross-key rules:
+# every time (grid, t, t + eps, t + r) lies in the domain, and eta < c.
+SCHEMA = (
+    _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
+    _Key("alpha", *_EXPR, _REQUIRED, _SIM),
+    _Key("b", *_EXPR, "1", _SIM),
+    _Key("H", *_EXPR, None, _SIM),
+    _Key("b_plus", "a number", _number, 1.0, _SIM),
+    _Key("b_minus", "a number", _number, 1.0, _SIM),
+    _Key("domain", "[lo, hi] with lo < hi", _pair(lambda lo, hi: lo < hi),
+         (0.0, 1.0), _SIM),
+    _Key("stability_bounds", "[c, d] with 0 < c <= d < 2",
+         _pair(lambda c, d: 0.0 < c <= d < 2.0), _REQUIRED, _SIM),
+    _Key("n_terms", *_int(1), _REQUIRED, _SIM),
+    _Key("seed", *_int(0), 0, _SIM + ("verify",)),
+    _Key("tail", *_one_of("gauss", "none"), "none", ("path",)),
+    _Key("tail", *_one_of("gauss", "none"), "gauss", ("moments", "holder")),
+    _Key("grid", "{start, stop, n} with an integer n >= 2, or a list of two "
+         "or more times", _grid, _REQUIRED, ("path",)),
+    _Key("n_paths", *_int(1), 1, ("path",)),
+    _Key("t", "a time", _number, _REQUIRED, ("moments",)),
+    _Key("t", "a time or a list of times", _times, _REQUIRED, ("holder",)),
+    _Key("eta", "a number in (0, c)", _POSITIVE[1], _REQUIRED, ("moments",)),
+    _Key("eps", *_LEVELS, _REQUIRED, ("moments",)),
+    _Key("r", *_LEVELS, _REQUIRED, ("holder",)),
+    _Key("m_paths", *_int(2), _REQUIRED, ("moments", "holder")),
+    _Key("alpha_regularity", "null or a number > 0",
+         lambda v: None if v is None else _POSITIVE[1](v), None, ("holder",)),
+    _Key("fault_loose_quad", "true or false",
+         lambda v: _ok(type(v) is bool, v), False, ("verify",)),
+    _Key("fault_c_alpha_scale", *_POSITIVE, 1.0, ("verify",)),
+    _Key("verify_n_terms", *_int(1), 4000, ("verify",)),
+    _Key("verify_m", *_int(2), 4000, ("verify",)),
+    _Key("verify_cf_n_terms", *_int(1), 4000, ("verify",)),
+    _Key("verify_cf_m", *_int(2), 2000, ("verify",)),
+)
+
+_MODEL_KEYS = ("process", "alpha", "b", "H", "b_plus", "b_minus", "domain",
+               "stability_bounds")
+
+
+def _checked(cfg: dict, keys: Sequence[_Key]) -> dict:
+    out = {}
+    for name, what, parse, default, _ in keys:
+        if name not in cfg and default is _REQUIRED:
+            raise ConfigError(f"missing config key {name!r} ({what})")
+        try:
+            out[name] = parse(cfg[name]) if name in cfg else default
+        except (ValueError, OverflowError):
+            raise ConfigError(f"config key {name!r} must be {what}, got "
+                              f"{json.dumps(cfg[name])}") from None
+    return out
 
 
 def _load_config(path: str) -> dict:
@@ -95,134 +207,64 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _need(cfg: dict, key: str, types, what: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r} ({what})")
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise ConfigError(f"config key {key!r} must be {what}, "
-                          f"got {type(val).__name__}")
-    return val
-
-
-def _opt_number(cfg: dict, key: str, default):
-    val = cfg.get(key, default)
-    if val is not None and not isinstance(val, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number")
-    return val
-
-
-def _parse_func(cfg: dict, key: str, domain, required: bool,
-                default: str = "1") -> Optional[FuncSpec]:
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing config key {key!r} (expression in t)")
-        src = default
-    else:
-        src = cfg[key]
-        if not isinstance(src, str):
-            raise ConfigError(f"config key {key!r} must be an expression "
-                              f"string")
-    try:
-        return FuncSpec.parse(src, domain)
-    except ExprError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
 def build_spec(cfg: dict) -> ProcessSpec:
-    process = _need(cfg, "process", str, "a process tag")
-    domain = cfg.get("domain", [0.0, 1.0])
-    if (not isinstance(domain, list) or len(domain) != 2
-            or not all(isinstance(x, (int, float)) for x in domain)
-            or not domain[0] < domain[1]):
-        raise ConfigError("config key 'domain' must be [lo, hi] with lo < hi")
-    domain = (float(domain[0]), float(domain[1]))
-    bounds = _need(cfg, "stability_bounds", list, "[c, d]")
-    if (len(bounds) != 2
-            or not all(isinstance(x, (int, float)) for x in bounds)):
-        raise ConfigError("config key 'stability_bounds' must be [c, d]")
-    c, d = float(bounds[0]), float(bounds[1])
-    alpha = _parse_func(cfg, "alpha", domain, required=True)
-    b = _parse_func(cfg, "b", domain, required=False)
-    needs_h = process in ("lmmm", "lfsm-control")
-    H = _parse_func(cfg, "H", domain, required=needs_h) if ("H" in cfg
-                                                            or needs_h) \
-        else None
+    """ProcessSpec of a config's model keys; other keys are ignored."""
+    v = _checked(cfg, [k for k in SCHEMA if k.name in _MODEL_KEYS])
+    funcs = dict.fromkeys(("alpha", "b", "H"))
+    for key in funcs:
+        if v[key] is not None:
+            try:
+                funcs[key] = FuncSpec.parse(v[key], v["domain"])
+                # raises EvalError where the function cannot be evaluated
+                validate_range(funcs[key], -math.inf, math.inf)
+            except ExprError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
     try:
-        return make_process(process, alpha, b, H, domain, c, d,
-                            b_plus=float(cfg.get("b_plus", 1.0)),
-                            b_minus=float(cfg.get("b_minus", 1.0)))
-    except (ValueError, ExprError) as exc:
+        return make_process(v["process"], funcs["alpha"], funcs["b"],
+                            funcs["H"], v["domain"], *v["stability_bounds"],
+                            b_plus=v["b_plus"], b_minus=v["b_minus"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _levels(cfg_val, key: str) -> list[float]:
-    """Either an explicit list of positive floats or a log-spaced family
-    {"start_exp": -4, "stop_exp": -10, "base": 2}."""
-    if isinstance(cfg_val, list):
-        if not cfg_val or not all(isinstance(x, (int, float)) and x > 0
-                                  for x in cfg_val):
-            raise ConfigError(f"config key {key!r} must list positive "
-                              f"numbers")
-        return [float(x) for x in cfg_val]
-    if isinstance(cfg_val, dict):
-        for sub in ("start_exp", "stop_exp"):
-            if sub not in cfg_val or not isinstance(cfg_val[sub], int):
-                raise ConfigError(f"config key {key!r} needs integer "
-                                  f"{sub!r}")
-        base = cfg_val.get("base", 2)
-        if not isinstance(base, (int, float)) or base <= 1:
-            raise ConfigError(f"config key {key!r}: base must exceed 1")
-        a, z = cfg_val["start_exp"], cfg_val["stop_exp"]
-        step = -1 if z < a else 1
-        return [float(base) ** k for k in range(a, z + step, step)]
-    raise ConfigError(f"config key {key!r} must be a list or a "
-                      f"start_exp/stop_exp/base object")
-
-
-def _seed(cfg: dict, args) -> int:
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("config key 'seed' must be a non-negative integer")
-    return seed
-
-
-def _m_paths(cfg: dict) -> int:
-    m_paths = _need(cfg, "m_paths", int, "an integer >= 2")
-    if m_paths < 2:
-        raise ConfigError("config key 'm_paths' must be >= 2")
-    return m_paths
-
-
-def _common(cfg: dict, args) -> dict:
-    """Effective run parameters after CLI overrides."""
-    seed = _seed(cfg, args)
-    n_terms = _need(cfg, "n_terms", int, "a positive integer")
-    if n_terms < 1:
-        raise ConfigError("config key 'n_terms' must be >= 1")
-    tail = cfg.get("tail")
-    if tail is not None and tail not in ("gauss", "none"):
-        raise ConfigError("config key 'tail' must be \"gauss\" or \"none\"")
-    return {"seed": seed, "n_terms": n_terms, "tail": tail}
+def check_config(cfg: dict, command: str) -> dict:
+    """Checked values of the keys the command reads, defaults filled in, and
+    the ProcessSpec under "spec" for path, moments and holder."""
+    run = _checked(cfg, [k for k in SCHEMA if command in k.commands])
+    if command == "verify":
+        return run
+    spec = run["spec"] = build_spec(cfg)
+    lo, hi = spec.domain
+    if command == "path":
+        times = {"grid": run["grid"]}
+    else:
+        lev = "eps" if command == "moments" else "r"
+        ts = run["t"] if command == "holder" else [run["t"]]
+        times = {"t": ts, lev: [t + e for t in ts for e in run[lev]]}
+    for key, xs in times.items():
+        for x in xs:
+            if not lo <= x <= hi:
+                raise ConfigError(f"config key {key!r} puts time {float(x)!r} "
+                                  f"outside the domain [{lo!r}, {hi!r}]")
+    if command == "moments" and not run["eta"] < spec.c:
+        raise ConfigError(f"config key 'eta' must lie in (0, c) = "
+                          f"(0, {spec.c!r}), got {run['eta']!r}")
+    return run
 
 
 def _manifest(out: Path, command: str, cfg: dict, run: dict,
-              spec: Optional[ProcessSpec], started: float, derived: dict,
-              drop_counts: dict, outputs: list[str]) -> None:
-    effective = dict(cfg)
-    effective["seed"] = run["seed"]
-    if run["tail"] is not None:
-        effective["tail"] = run["tail"]
+              started: float, derived: dict, drop_counts: dict,
+              outputs: list[str]) -> None:
     doc = {
         "kind": "run_manifest",
         "command": command,
         "version": __version__,
         "wall_clock_s": time.monotonic() - started,
-        "n_terms": run["n_terms"],
-        "config": effective,
+        "n_terms": run.get("n_terms"),
+        "config": {**cfg, "seed": run["seed"]},
         "derived": derived,
         "drop_counts": drop_counts,
-        "warnings": list(spec.warnings) if spec is not None else [],
+        "warnings": list(getattr(run.get("spec"), "warnings", [])),
         "outputs": outputs,
     }
     with open(out / "manifest.json", "w", newline="\n") as fh:
@@ -294,30 +336,11 @@ def _svg_polylines(path: Path, series: list[tuple[np.ndarray, np.ndarray]],
 # subcommands
 
 
-def cmd_path(cfg: dict, args) -> int:
+def cmd_path(cfg: dict, run: dict, args) -> int:
     started = time.monotonic()
-    spec = build_spec(cfg)
-    run = _common(cfg, args)
-    tail = run["tail"] or "none"
-    gcfg = cfg.get("grid")
-    if isinstance(gcfg, dict):
-        for sub in ("start", "stop", "n"):
-            if sub not in gcfg:
-                raise ConfigError(f"config key 'grid' needs {sub!r}")
-        if gcfg["n"] < 2:
-            raise ConfigError("grid n must be >= 2")
-        grid = np.linspace(float(gcfg["start"]), float(gcfg["stop"]),
-                           int(gcfg["n"]))
-    elif isinstance(gcfg, list) and len(gcfg) >= 2:
-        grid = np.asarray([float(x) for x in gcfg])
-    else:
-        raise ConfigError("config key 'grid' must be {start, stop, n} or a "
-                          "list of at least two times")
-    n_paths = cfg.get("n_paths", 1)
-    if not isinstance(n_paths, int) or n_paths < 1:
-        raise ConfigError("config key 'n_paths' must be a positive integer")
+    spec, grid, n_paths = run["spec"], run["grid"], run["n_paths"]
     vals = diagonal_samples(spec, grid, n_paths, run["n_terms"], run["seed"],
-                            tail=tail, workers=args.workers)
+                            tail=run["tail"], workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if n_paths == 1:
@@ -332,23 +355,17 @@ def cmd_path(cfg: dict, args) -> int:
                        [(grid, vals[p]) for p in range(n_paths)],
                        "sample path")
     mid = 0.5 * (spec.domain[0] + spec.domain[1])
-    _manifest(out, "path", cfg, run, spec, started, _derived_at(spec, mid),
-              {}, ["path.csv"])
+    _manifest(out, "path", cfg, run, started, _derived_at(spec, mid), {},
+              ["path.csv"])
     return 0
 
 
-def cmd_moments(cfg: dict, args) -> int:
+def cmd_moments(cfg: dict, run: dict, args) -> int:
     started = time.monotonic()
-    spec = build_spec(cfg)
-    run = _common(cfg, args)
-    tail = run["tail"] or "gauss"
-    t = _need(cfg, "t", (int, float), "a time in the domain")
-    eta = _need(cfg, "eta", (int, float), "a moment order")
-    eps = _levels(cfg.get("eps"), "eps")
-    m_paths = _m_paths(cfg)
-    me = estimate_increment_moments(spec, float(t), float(eta), eps, m_paths,
-                                    run["n_terms"], run["seed"], tail=tail,
-                                    workers=args.workers)
+    spec, t, eps = run["spec"], run["t"], run["eps"]
+    me = estimate_increment_moments(spec, t, run["eta"], eps, run["m_paths"],
+                                    run["n_terms"], run["seed"],
+                                    tail=run["tail"], workers=args.workers)
     fit = fit_scaling(me)
     th = [math.exp(fit.theory_intercept + fit.theory_slope * math.log(e))
           for e in eps]
@@ -368,36 +385,23 @@ def cmd_moments(cfg: dict, args) -> int:
                        [(np.asarray(me.eps), np.asarray(me.estimates)),
                         (np.asarray(me.eps), np.asarray(th))],
                        "incremental moments (log-log)", logx=True, logy=True)
-    derived = _derived_at(spec, float(t))
-    derived["theory_slope"] = fit.theory_slope
-    derived["theory_intercept"] = fit.theory_intercept
-    _manifest(out, "moments", cfg, run, spec, started, derived, {},
+    derived = {**_derived_at(spec, t), "theory_slope": fit.theory_slope,
+               "theory_intercept": fit.theory_intercept}
+    _manifest(out, "moments", cfg, run, started, derived, {},
               ["moments.csv", "moments_fit.csv"])
     return 0
 
 
-def cmd_holder(cfg: dict, args) -> int:
+def cmd_holder(cfg: dict, run: dict, args) -> int:
     started = time.monotonic()
-    spec = build_spec(cfg)
-    run = _common(cfg, args)
-    tail = run["tail"] or "gauss"
-    t_cfg = cfg.get("t")
-    if isinstance(t_cfg, (int, float)):
-        ts = [float(t_cfg)]
-    elif isinstance(t_cfg, list) and t_cfg and all(
-            isinstance(x, (int, float)) for x in t_cfg):
-        ts = [float(x) for x in t_cfg]
-    else:
-        raise ConfigError("config key 't' must be a time or list of times")
-    r_levels = _levels(cfg.get("r"), "r")
-    m_paths = _m_paths(cfg)
-    reg = _opt_number(cfg, "alpha_regularity", None)
+    spec, ts = run["spec"], run["t"]
     rows = []
     drops = {}
     for t in ts:
-        he = holder_pathwise(spec, t, r_levels, m_paths, run["n_terms"],
-                             run["seed"], tail=tail, workers=args.workers,
-                             alpha_regularity=reg)
+        he = holder_pathwise(spec, t, run["r"], run["m_paths"],
+                             run["n_terms"], run["seed"], tail=run["tail"],
+                             workers=args.workers,
+                             alpha_regularity=run["alpha_regularity"])
         rows.append((t, he.estimate, he.ci_lo, he.ci_hi,
                      he.theory if he.theory is not None else float("nan"),
                      he.drop_count))
@@ -415,8 +419,8 @@ def cmd_holder(cfg: dict, args) -> int:
                         (ts_a, np.asarray([r[2] for r in rows])),
                         (ts_a, np.asarray([r[3] for r in rows]))],
                        "pathwise roughness")
-    _manifest(out, "holder", cfg, run, spec, started,
-              _derived_at(spec, ts[0]), drops, ["holder.csv"])
+    _manifest(out, "holder", cfg, run, started, _derived_at(spec, ts[0]),
+              drops, ["holder.csv"])
     return 0
 
 
@@ -424,14 +428,13 @@ def cmd_holder(cfg: dict, args) -> int:
 # verify
 
 
-def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
-                                                             float, bool]]:
+def _verify_checks(run: dict, args) -> list[tuple]:
     checks: list[tuple[str, float, float, bool]] = []
     quad = None
-    if cfg.get("fault_loose_quad"):
+    if run["fault_loose_quad"]:
         quad = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-2,
                                 max_subdivisions=1, half_periods=8)
-    scale = float(cfg.get("fault_c_alpha_scale", 1.0))
+    scale = run["fault_c_alpha_scale"]
 
     # closed-form consistency of the numeric half-period integral
     worst = 0.0
@@ -441,15 +444,14 @@ def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
     checks.append(("quadrature-identity", worst, 1e-8, worst <= 1e-8))
 
     # constant-parameter marginal against a direct stable sampler
-    a0 = float(cfg.get("verify_alpha", 1.3))
-    n_terms = int(cfg.get("verify_n_terms", 4000))
-    m = int(cfg.get("verify_m", 4000))
+    a0 = 1.3
+    m = run["verify_m"]
     vcfg = {"process": "levy", "alpha": f"{a0!r}", "b": f"{scale!r}",
-            "stability_bounds": [a0 - 0.05, a0 + 0.05],
-            "domain": [0.0, 1.0]}
+            "stability_bounds": [a0 - 0.05, a0 + 0.05]}
     spec = build_spec(vcfg)
-    vals = diagonal_samples(spec, [1.0], m, n_terms, run["seed"],
-                            tail="gauss", workers=args.workers)[:, 0]
+    vals = diagonal_samples(spec, [1.0], m, run["verify_n_terms"],
+                            run["seed"], tail="gauss",
+                            workers=args.workers)[:, 0]
     ref = cms_sample(a0, 1.0, _substream(run["seed"], 0, "reference"), m)
     ks = ks_two_sample(vals, ref)
     checks.append(("marginal-ks", ks.statistic, ks.crit_01,
@@ -457,12 +459,10 @@ def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
 
     # characteristic function of increments, numeric vs empirical
     vspec = build_spec({"process": "levy", "alpha": "1.5+0.3*sin(2*pi*t)",
-                        "stability_bounds": [1.1, 1.9],
-                        "domain": [0.0, 1.0]})
+                        "stability_bounds": [1.1, 1.9]})
     rep = ecf_compare(vspec, 0.3, 2.0 ** -6, np.linspace(0.0, 4.0, 9),
-                      int(cfg.get("verify_cf_m", 2000)),
-                      int(cfg.get("verify_cf_n_terms", 4000)), run["seed"],
-                      workers=args.workers, quad=quad)
+                      run["verify_cf_m"], run["verify_cf_n_terms"],
+                      run["seed"], workers=args.workers, quad=quad)
     checks.append(("cf-gap", rep.sup_gap, 0.05, rep.sup_gap <= 0.05))
 
     # localisability probes that collapse to exact constants
@@ -478,26 +478,19 @@ def _verify_checks(cfg: dict, args, run: dict) -> list[tuple[str, float,
 
     # truncation error against its zeta proxy
     rep2 = truncation_diagnostic(vspec, np.linspace(0.1, 0.9, 9),
-                                 int(cfg.get("verify_n_terms", 4000)),
-                                 run["seed"], pilot=4)
+                                 run["verify_n_terms"], run["seed"], pilot=4)
     ratio = rep2.max_discrepancy / rep2.tail_proxy
     checks.append(("truncation-proxy", ratio, 10.0, ratio <= 10.0))
     return checks
 
 
-def cmd_verify(cfg: dict, args) -> int:
+def cmd_verify(cfg: dict, run: dict, args) -> int:
     started = time.monotonic()
-    run = {"seed": _seed(cfg, args),
-           "n_terms": int(cfg.get("n_terms", 4000)),
-           "tail": cfg.get("tail")}
-    import warnings as _warnings
-
-    from scipy.integrate import IntegrationWarning
-    with _warnings.catch_warnings():
+    with warnings.catch_warnings():
         # deliberate fault injection drives quadrature past its budget;
         # the report line is the signal, not the scipy chatter
-        _warnings.simplefilter("ignore", IntegrationWarning)
-        checks = _verify_checks(cfg, args, run)
+        warnings.simplefilter("ignore", IntegrationWarning)
+        checks = _verify_checks(run, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "verify.csv", ("check", "value", "threshold", "status"),
@@ -508,7 +501,7 @@ def cmd_verify(cfg: dict, args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {val:.6g} "
               f"(threshold {thr:.6g})")
         all_ok = all_ok and ok
-    _manifest(out, "verify", cfg, run, None, started, {}, {}, ["verify.csv"])
+    _manifest(out, "verify", cfg, run, started, {}, {}, ["verify.csv"])
     return 0 if all_ok else 4
 
 
@@ -537,7 +530,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "holder": cmd_holder, "verify": cmd_verify}
     try:
         cfg = _load_config(args.config)
-        return handlers[args.command](cfg, args)
+        if args.seed is not None:
+            cfg = {**cfg, "seed": args.seed}
+        run = check_config(cfg, args.command)
+        return handlers[args.command](cfg, run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

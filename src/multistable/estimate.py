@@ -171,6 +171,9 @@ class ScalingFit:
 def fit_scaling(me: MomentEstimate) -> ScalingFit:
     """Weighted least squares of log m-hat on log eps, weights from the
     delta-method errors se/m-hat."""
+    if len(set(me.eps)) < 2:
+        raise ValueError(f"a scaling fit needs two or more distinct eps "
+                         f"levels, got {list(me.eps)!r}")
     est = np.asarray(me.estimates)
     if np.any(est <= 0.0):
         bad = [e for e, v in zip(me.eps, me.estimates) if v <= 0.0]

@@ -136,16 +136,27 @@ def _lmmm_weight(x: np.ndarray) -> np.ndarray:
     return _PI2_3 * j * j
 
 
-def _power_diff(t: float, k: float, x: np.ndarray) -> np.ndarray:
+def _power_diff(t: float, k: float, x: np.ndarray,
+                weights: Optional[tuple[float, float]] = None) -> np.ndarray:
     """|t-x|^k - |x|^k, switching to |x|^k * expm1(k*log1p(+-t/|x|)) far from
-    the kinks where the direct difference cancels catastrophically."""
+    the kinks where the direct difference cancels catastrophically.  Side
+    weights (b_plus, b_minus) scale each power by b_plus left of its kink
+    and by b_minus right of it."""
     ax = np.abs(x)
     far = ax > 8.0 * (1.0 + abs(t))
-    out = np.abs(t - x) ** k - ax ** k
+    if weights is None:
+        out = np.abs(t - x) ** k - ax ** k
+    else:
+        bp, bm = weights
+        out = (np.where(x < t, bp, bm) * np.abs(t - x) ** k
+               - np.where(x < 0.0, bp, bm) * ax ** k)
     if np.any(far):
         xf = ax[far]
-        # |t-x| - |x| is exactly -t*sign(x) once |x| > |t|
+        # |t-x| - |x| is exactly -t*sign(x) once |x| > |t|, and both powers
+        # lie on the same side of their kinks
         out[far] = xf ** k * np.expm1(k * np.log1p(-t * np.sign(x[far]) / xf))
+        if weights is not None:
+            out[far] *= np.where(x[far] > 0.0, bm, bp)
     return out
 
 
@@ -176,18 +187,7 @@ def lfsm_kernel(alpha_const: float, H_const: float,
     k = H_const - 1.0 / alpha_const
 
     def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = (b_plus * (np.maximum(t - x, 0.0) ** k
-                         - np.maximum(-x, 0.0) ** k)
-               + b_minus * (np.maximum(x - t, 0.0) ** k
-                            - np.maximum(x, 0.0) ** k))
-        far = np.abs(x) > 8.0 * (1.0 + abs(t))
-        if np.any(far):
-            xf = np.abs(x[far])
-            side = np.where(x[far] > 0, b_minus, b_plus)
-            out[far] = side * xf ** k * np.expm1(
-                k * np.log1p(-t * np.sign(x[far]) / xf))
-        return out
+        return _power_diff(t, k, np.asarray(x, dtype=float), (b_plus, b_minus))
 
     return Kernel(tag="lfsm", evaluate=evaluate, kappa=lambda u: k,
                   side_weights=(b_plus, b_minus))

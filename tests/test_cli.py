@@ -1,13 +1,18 @@
+import csv
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multistable.cli import main
+from multistable.cli import SCHEMA, main
 
 LEVY_CFG = {
     "process": "levy",
@@ -115,6 +120,122 @@ class TestConfigErrors:
         assert _run(tmp_path, _moments_cfg(
             eps={"start_exp": 1.5, "stop_exp": 3}), "moments") == 2
         assert _run(tmp_path, _moments_cfg(eps="small"), "moments") == 2
+
+
+def _holder_cfg(**over):
+    cfg = dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8], t=0.5,
+               r=[2.0 ** -4, 2.0 ** -5], m_paths=8)
+    cfg.update(over)
+    return cfg
+
+
+# each must exit 2 naming its key before any output is written, not run on
+# into a traceback, a "numerical failure" or nan cells
+BAD_CONFIGS = [
+    ("path", _path_cfg(grid={"start": 0.0, "stop": 1.0, "n": "5"}), "grid"),
+    ("path", _path_cfg(n_paths=True), "n_paths"),
+    ("path", _path_cfg(grid={"start": "a", "stop": 1.0, "n": 5}), "grid"),
+    ("path", _path_cfg(grid=["a", 0.5]), "grid"),
+    ("path", _path_cfg(grid={"start": 0.0, "stop": 1.0, "n": 5.5}), "grid"),
+    ("moments", _moments_cfg(eps=[0.1]), "eps"),
+    ("moments", _moments_cfg(eps=[0.1, 0.1]), "eps"),
+    ("moments", _moments_cfg(eps={"start_exp": True, "stop_exp": -3}),
+     "eps"),
+    ("moments", _moments_cfg(t=3.0), "'t'"),
+    ("holder", _holder_cfg(t=[0.5, 2.0]), "'t'"),
+    ("path", _path_cfg(grid=[0.5, 7.0]), "grid"),
+    ("holder", _holder_cfg(r=[0.9, 0.6]), "'r'"),
+    ("holder", _holder_cfg(r=[0.01]), "'r'"),
+    ("moments", _moments_cfg(eta=1.1), "eta"),
+    ("moments", _moments_cfg(eta=1.5), "eta"),
+    ("verify", dict(VERIFY_SIZES, verify_m="x"), "verify_m"),
+    ("verify", dict(VERIFY_SIZES, verify_n_terms=0), "verify_n_terms"),
+    ("path", _path_cfg(domain=[False, 1]), "domain"),
+    ("holder", _holder_cfg(alpha_regularity=True), "alpha_regularity"),
+    ("path", _path_cfg(process="lfsm-control", H="0.7", b_plus="x"),
+     "b_plus"),
+    ("path", _path_cfg(b="log(t)"), "'b'"),
+    ("path", _path_cfg(alpha="1.5+0.1*log(t)"), "'alpha'"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key", BAD_CONFIGS)
+def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
+    assert _run(tmp_path, cfg, command) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lfsm_negative_exponent_path_is_finite(tmp_path):
+    # kappa = H - 1/alpha < 0, where a zero base in the kernel is inf
+    cfg = _path_cfg(process="lfsm-control", alpha="1.5", H="0.5",
+                    stability_bounds=[1.2, 1.8], n_paths=3)
+    assert _run(tmp_path, cfg, "path") == 0
+    _assert_finite_csvs(tmp_path / "out")
+
+
+def _assert_finite_csvs(out):
+    for path in out.glob("*.csv"):
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                for col, cell in row.items():
+                    if col in ("check", "status") or (
+                            path.name == "holder.csv" and col == "theory"):
+                        continue  # text cells; theory is nan without target
+                    assert math.isfinite(float(cell)), (path.name, col, row)
+
+
+SMALL = {
+    "path": [_path_cfg(grid={"start": 0.0, "stop": 1.0, "n": 5}, n_terms=50,
+                       n_paths=2),
+             _path_cfg(process="lfsm-control", alpha="1.5", H="0.5",
+                       stability_bounds=[1.2, 1.8], grid=[0.1, 0.5, 0.9],
+                       n_terms=50, b_minus=0.5)],
+    "moments": [_moments_cfg(n_terms=50, m_paths=8)],
+    "holder": [_holder_cfg(n_terms=50)],
+    "verify": [{"verify_m": 20, "verify_n_terms": 20, "verify_cf_m": 20,
+                "verify_cf_n_terms": 20}],
+}
+
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.text(alphabet="ab1+(.", max_size=4),
+    st.integers(-5, 6),
+    st.floats(-10.0, 10.0),
+    st.floats(0.0, 1.0),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0),
+                       st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.sampled_from(["start", "stop", "n", "start_exp",
+                                     "stop_exp", "base"]),
+                    st.one_of(st.integers(-3, 6), st.floats(-3.0, 3.0),
+                              st.booleans(), st.just({"n": 1})),
+                    max_size=4),
+    # evaluation times outside the domain [0, 1]
+    st.sampled_from([-0.5, 1.5, [0.5, 7.0], [0.9, 0.6],
+                     {"start": 0.0, "stop": 3.0, "n": 3}]),
+)
+
+
+@st.composite
+def _one_bad_key(draw):
+    command = draw(st.sampled_from(sorted(SMALL)))
+    cfg = dict(draw(st.sampled_from(SMALL[command])))
+    key = draw(st.sampled_from(sorted({k.name for k in SCHEMA
+                                       if command in k.commands})))
+    cfg[key] = draw(BAD_VALUES)
+    return command, cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_one_bad_key())
+def test_one_bad_key_never_raises_or_writes_nan(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _run(Path(tmp), cfg, command)
+        # verify reports a failed self-check with 4
+        assert rc in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
+        if rc == 0:
+            _assert_finite_csvs(Path(tmp) / "out")
 
 
 class TestPathCommand:
@@ -295,3 +416,10 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert (tmp_path / "out" / "path.csv").exists()
+
+
+def test_readme_table_lists_every_config_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    keys = {line.split("`")[1] for line in readme.read_text().splitlines()
+            if line.startswith("| `")}
+    assert keys == {k.name for k in SCHEMA}

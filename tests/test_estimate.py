@@ -99,6 +99,17 @@ class TestScalingFit:
         with pytest.raises(ValueError, match="0.0625"):
             fit_scaling(broken)
 
+    @pytest.mark.parametrize("eps", [(0.1,), (0.1, 0.1)])
+    def test_single_level_rejected(self, eps):
+        me = self._synthetic(0.4, 0.0)
+        one = MomentEstimate(t=me.t, eta=me.eta, eps=eps,
+                             estimates=me.estimates[:len(eps)],
+                             stderrs=me.stderrs[:len(eps)],
+                             m_paths=me.m_paths, n_terms=me.n_terms,
+                             seed=me.seed, spec=me.spec)
+        with pytest.raises(ValueError, match="two or more distinct eps"):
+            fit_scaling(one)
+
     def test_residuals_vanish_on_exact_input(self):
         fit = fit_scaling(self._synthetic(0.5, 0.3))
         assert max(abs(r) for r in fit.residuals) < 1e-12

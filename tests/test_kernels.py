@@ -163,6 +163,21 @@ class TestLfsmKernel:
         want = np.maximum(t - x, 0.0) ** k - np.maximum(-x, 0.0) ** k
         assert np.allclose(ker.evaluate(t, t, x), want, rtol=1e-12)
 
+    def test_negative_exponent_stays_finite(self):
+        # kappa = 0.5 - 1/1.5 < 0: a zero base would give 0^kappa = inf
+        x = np.array([-30.0, -2.0, -0.4, 0.1, 0.25, 0.7, 3.0, 40.0])
+        sym = lfsm_kernel(1.5, 0.5, 1.0, 1.0).evaluate(0.3, 0.3, x)
+        ref, _ = lmmm_kernel(_fs("1.5"), _fs("0.5"))
+        assert np.all(np.isfinite(sym))
+        assert np.array_equal(sym, ref.evaluate(0.3, 0.3, x))
+        one = lfsm_kernel(1.5, 0.5, 1.0, 0.0).evaluate(0.3, 0.3, x)
+        k = 0.5 - 1.0 / 1.5
+        left = x < 0.3
+        want = np.where(left, np.abs(0.3 - x) ** k, 0.0) - np.where(
+            x < 0.0, np.abs(x) ** k, 0.0)
+        assert np.all(np.isfinite(one))
+        assert np.allclose(one, want, rtol=1e-12, atol=0.0)
+
 
 class TestKinkIntegral:
     def test_zero_exponent_gives_zero(self):

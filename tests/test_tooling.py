@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark's layer tracer against the current package.
+"""Checks of the benchmark harness against the current package.
 
 The tracer in perfbench/layertrace.py wraps package functions by name; a
 renamed or removed function makes a traced benchmark run stop.  Each case
 runs one tiny traced CLI job through perfbench/child.py in a fresh
-interpreter, as the benchmark does.
+interpreter, as the benchmark does.  The benchmark's workload configs must
+also pass the CLI's config check, or a tightened schema would turn a
+benchmark run into exit 2.
 """
 
 import json
@@ -13,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from multistable.cli import check_config
+
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
+sys.path.append(str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 LMMM = {"process": "lmmm", "alpha": "1.7+0.2*sin(2*pi*t)", "H": "0.7+0.1*t",
         "stability_bounds": [1.45, 1.95], "domain": [0.0, 1.0],
@@ -53,3 +59,10 @@ def test_traced_child_run(tmp_path, command):
     if command != "path":
         assert layers["estimate.reduce.calls"] > 0
         assert layers["engine.tail_draw.calls"] > 0
+
+
+@pytest.mark.parametrize("command,cfg", [(w.command, w.config)
+                                         for w in WORKLOADS.values()]
+                         + sorted(CASES.items()))
+def test_benchmark_configs_pass_the_config_check(command, cfg):
+    check_config(cfg, command)
