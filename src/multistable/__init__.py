@@ -13,8 +13,7 @@ from .estimate import (ECFReport, HolderEstimate, KSResult, MomentEstimate,
                        holder_pathwise, ks_two_sample, levy_increment_cf,
                        small_ball_probe, theoretical_scaling)
 from .expr import (EvalError, ExprError, FuncSpec, ParseError, RangeReport,
-                   eval_expr, fd_derivative, parse_expr, to_source,
-                   validate_range)
+                   eval_expr, parse_expr, to_source, validate_range)
 from .kernels import (Kernel, MeasureSpec, ProcessSpec, kink_power_integral,
                       levy_kernel, lfsm_kernel, lmmm_kernel, make_process,
                       pair_integral, sigma_lmmm)
@@ -24,7 +23,7 @@ from .stable import (QuadratureConfig, c_alpha, cms_sample, gamma_fn,
 __all__ = [
     "__version__",
     # expressions
-    "parse_expr", "eval_expr", "to_source", "fd_derivative", "validate_range",
+    "parse_expr", "eval_expr", "to_source", "validate_range",
     "FuncSpec", "RangeReport", "ExprError", "ParseError", "EvalError",
     # stable-law numerics
     "QuadratureConfig", "c_alpha", "sin2_integral", "sin2_phase_integral",

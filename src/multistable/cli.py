@@ -86,6 +86,7 @@ def _number(v) -> float:
 def _parse_levels(v) -> list[float]:
     """An explicit list or the family base^start_exp .. base^stop_exp."""
     if type(v) is dict:
+        _ok(set(v) <= {"start_exp", "stop_exp", "base"}, v)
         a, z = v.get("start_exp"), v.get("stop_exp")
         base = _number(v.get("base", 2))
         # the smallest level must not underflow, which also bounds the range
@@ -105,6 +106,7 @@ def _times(v) -> list[float]:
 
 def _grid(v) -> np.ndarray:
     if type(v) is dict:
+        _ok(set(v) <= {"start", "stop", "n"}, v)
         n = _ok(type(v.get("n")) is int and v["n"] >= 2, v.get("n"))
         return np.linspace(_number(v.get("start")), _number(v.get("stop")), n)
     return np.asarray(_ok(type(v) is list and len(v) >= 2, _times(v)))
@@ -137,8 +139,9 @@ _Key = namedtuple("_Key", "name what parse default commands")
 _REQUIRED = object()
 _SIM = ("path", "moments", "holder")
 
-# README.md mirrors this table.  check_config adds the cross-key rules:
-# every time (grid, t, t + eps, t + r) lies in the domain, and eta < c.
+# README.md mirrors this table.  check_config rejects any other key and adds
+# the cross-key rules: every time (grid, t, t + eps, t + r) lies in the
+# domain, and eta < c; build_spec adds the model rules.
 SCHEMA = (
     _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
     _Key("alpha", *_EXPR, _REQUIRED, _SIM),
@@ -151,7 +154,10 @@ SCHEMA = (
     _Key("stability_bounds", "[c, d] with 0 < c <= d < 2",
          _pair(lambda c, d: 0.0 < c <= d < 2.0), _REQUIRED, _SIM),
     _Key("n_terms", *_int(1), _REQUIRED, _SIM),
-    _Key("seed", *_int(0), 0, _SIM + ("verify",)),
+    # one word of every RNG key (engine._substream)
+    _Key("seed", "an integer in [0, 2^32 - 1]",
+         lambda v: _ok(type(v) is int and 0 <= v < 2 ** 32, v), 0,
+         _SIM + ("verify",)),
     _Key("tail", *_one_of("gauss", "none"), "none", ("path",)),
     _Key("tail", *_one_of("gauss", "none"), "gauss", ("moments", "holder")),
     _Key("grid", "{start, stop, n} with an integer n >= 2, or a list of two "
@@ -210,15 +216,26 @@ def _load_config(path: str) -> dict:
 def build_spec(cfg: dict) -> ProcessSpec:
     """ProcessSpec of a config's model keys; other keys are ignored."""
     v = _checked(cfg, [k for k in SCHEMA if k.name in _MODEL_KEYS])
+    lo, hi = v["domain"]
+    if v["process"] == "levy" and not 0.0 <= lo < hi <= 1.0:
+        # the levy measure lives on [0, 1]: beyond it the path is frozen
+        raise ConfigError(f"config key 'domain' must lie inside [0, 1] for "
+                          f"levy, got [{lo!r}, {hi!r}]")
     funcs = dict.fromkeys(("alpha", "b", "H"))
     for key in funcs:
         if v[key] is not None:
             try:
                 funcs[key] = FuncSpec.parse(v[key], v["domain"])
                 # raises EvalError where the function cannot be evaluated
-                validate_range(funcs[key], -math.inf, math.inf)
+                rep = validate_range(funcs[key], -math.inf, math.inf)
             except ExprError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if (v["process"] == "lfsm-control" and key != "b"
+                    and rep.vmin != rep.vmax):
+                # its kernel is frozen at one (alpha, H)
+                raise ConfigError(
+                    f"config key {key!r} must be constant for lfsm-control, "
+                    f"got values in [{rep.vmin!r}, {rep.vmax!r}]")
     try:
         return make_process(v["process"], funcs["alpha"], funcs["b"],
                             funcs["H"], v["domain"], *v["stability_bounds"],
@@ -230,6 +247,9 @@ def build_spec(cfg: dict) -> ProcessSpec:
 def check_config(cfg: dict, command: str) -> dict:
     """Checked values of the keys the command reads, defaults filled in, and
     the ProcessSpec under "spec" for path, moments and holder."""
+    unknown = sorted(set(cfg) - {k.name for k in SCHEMA})
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     run = _checked(cfg, [k for k in SCHEMA if command in k.commands])
     if command == "verify":
         return run

@@ -16,7 +16,8 @@ Every random draw comes from a generator substream keyed by
 (seed, index, stream), with the stream word taken from one table.  Each
 environment owns four: arrivals, points, signs, and the Gaussian draw used
 by the optional truncation-tail completion.  The bootstrap and reference
-draws take stream words no environment uses.  Substreams make results
+draws take stream words no environment uses.  Seeds and indices are single
+key words, so both must lie in [0, 2^32).  Substreams make results
 independent of batching: the same (seed, index) always yields the same
 environment no matter how many workers produced its neighbours, and a
 doubled-length environment extends the shorter one exactly (same prefix).
@@ -54,6 +55,9 @@ _STREAMS = {"arrivals": 0, "points": 1, "signs": 2, "tail": 3,
 
 
 def _substream(seed: int, index: int, purpose: str) -> np.random.Generator:
+    if not (0 <= seed < 2 ** 32 and 0 <= index < 2 ** 32):
+        raise ValueError(f"seed {seed!r} and index {index!r} must lie in "
+                         "[0, 2^32)")
     return np.random.default_rng(
         np.random.SeedSequence((seed, index, _STREAMS[purpose])))
 
@@ -118,9 +122,9 @@ def eval_diagonal_path(env: PoissonEnvironment, spec: ProcessSpec,
 # truncation tail
 
 
-def tail_covariance(spec: ProcessSpec, points: Sequence[tuple[float, float]],
+def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
                     n_terms: int) -> np.ndarray:
-    """Covariance of the discarded series tail across field points (t,u).
+    """Covariance of the discarded series tail across the path times.
 
     Conditionally on the Poisson points beyond the truncation index, each
     tail sum is a sign-symmetric sum of ~Gamma_i^(-1/alpha) factors; summing
@@ -131,14 +135,14 @@ def tail_covariance(spec: ProcessSpec, points: Sequence[tuple[float, float]],
     with R_AB the measure-weighted kernel pair integral.  The Hurwitz zeta
     uses E[Gamma_i^(-c)] ~ i^(-c) for the high arrival indices.
     """
-    G = len(points)
-    prefs, ss = _grid_scales(spec, [u for _, u in points])
+    ts = [float(t) for t in grid]
+    G = len(ts)
+    prefs, ss = _grid_scales(spec, ts)
     cov = np.empty((G, G))
     for i in range(G):
         for j in range(i, G):
             sbar = 0.5 * (ss[i] + ss[j])
-            r = pair_integral(spec, points[i][0], points[i][1],
-                              points[j][0], points[j][1], sbar)
+            r = pair_integral(spec, ts[i], ts[j], sbar)
             cov[i, j] = cov[j, i] = (prefs[i] * prefs[j]
                                      * zeta(ss[i] + ss[j], n_terms + 1.0) * r)
     return cov
@@ -169,8 +173,6 @@ def tail_draw(cov_chol: np.ndarray, seed: int, index: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    n_terms: int
-    pilot: int
     max_discrepancy: float  # coupled N vs 2N path difference, sup over grid
     tail_proxy: float       # zeta-based tail sd bound scaled by max |w^s f|
 
@@ -197,6 +199,5 @@ def truncation_diagnostic(spec: ProcessSpec, grid: Sequence[float],
             max_term = max(max_term, float(np.max(
                 np.abs(env2.weights ** s * f))))
     tail_sum = float(zeta(2.0 / spec.d, n_terms + 1.0))
-    return TruncationReport(n_terms=n_terms, pilot=pilot,
-                            max_discrepancy=worst,
+    return TruncationReport(max_discrepancy=worst,
                             tail_proxy=math.sqrt(tail_sum) * max_term)

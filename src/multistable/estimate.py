@@ -80,9 +80,7 @@ def diagonal_samples(spec: ProcessSpec, grid: Sequence[float], m_paths: int,
     prefs, ss = _grid_scales(spec, grid)
     chol = None
     if tail == "gauss":
-        cov = tail_covariance(spec, [(float(t), float(t)) for t in grid],
-                              n_terms)
-        chol = tail_sqrt(cov)
+        chol = tail_sqrt(tail_covariance(spec, grid, n_terms))
     out = np.empty((m_paths, grid.shape[0]))
     bounds = [(lo, min(lo + _CHUNK, index_offset + m_paths))
               for lo in range(index_offset, index_offset + m_paths, _CHUNK)]
@@ -443,13 +441,13 @@ def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
     return _cu15_quad(spec, t, r)
 
 
-def _cu15_quad(spec: ProcessSpec, t: float, r: float,
-               x_max: float = 60.0) -> float:
+def _cu15_quad(spec: ProcessSpec, t: float, r: float) -> float:
     """r^-2 int (f(v,v,x) - f(v,u,x))^2 dx at u = t, v = t+r: the kernel
     changes only through kappa(u), so the integrand is a difference of two
     kink profiles at the same time argument."""
     from scipy.integrate import quad as _quad
 
+    x_max = 60.0  # quadrature range; the power-law far field beyond
     v = t + r
     kv, ku = spec.kappa(v), spec.kappa(t)
 

@@ -33,7 +33,6 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "to_source",
-    "fd_derivative",
     "validate_range",
     "RangeReport",
 ]
@@ -291,10 +290,13 @@ def _eval(ast: ExprAst, t: float) -> float:
     # Call
     args = [_eval(child, t) for child in ast.args]
     name = ast.name
-    if name == "sin":
-        return math.sin(args[0])
-    if name == "cos":
-        return math.cos(args[0])
+    try:
+        if name == "sin":
+            return math.sin(args[0])
+        if name == "cos":
+            return math.cos(args[0])
+    except ValueError as exc:  # an infinite argument
+        raise EvalError(f"{name} of {args[0]!r}") from exc
     if name == "exp":
         try:
             return math.exp(args[0])
@@ -378,30 +380,19 @@ class FuncSpec:
         return cls(source=source, ast=parse_expr(source), domain=(lo, hi))
 
 
-def fd_derivative(ast: ExprAst, t: float, step: float = 1e-6) -> float:
-    """Central finite difference (f(t+step) - f(t-step)) / (2 step)."""
-    if step <= 0.0:
-        raise ExprError("step must be positive")
-    return (eval_expr(ast, t + step) - eval_expr(ast, t - step)) / (2.0 * step)
-
-
 @dataclass(frozen=True)
 class RangeReport:
     ok: bool
     vmin: float
     vmax: float
-    lo: float
-    hi: float
-    grid_n: int
 
 
-def validate_range(fs: FuncSpec, lo: float, hi: float, grid_n: int = 257) -> RangeReport:
+def validate_range(fs: FuncSpec, lo: float, hi: float) -> RangeReport:
     """Evaluate ``fs`` on a uniform grid over its domain and check [lo, hi].
 
     Raises :class:`EvalError` naming the grid point if evaluation fails there.
     """
-    if grid_n < 2:
-        raise ExprError("grid_n must be at least 2")
+    grid_n = 257
     a, b = fs.domain
     vmin = math.inf
     vmax = -math.inf
@@ -413,5 +404,4 @@ def validate_range(fs: FuncSpec, lo: float, hi: float, grid_n: int = 257) -> Ran
             raise EvalError(f"evaluation failed at grid point t={t!r}: {exc}") from exc
         vmin = min(vmin, v)
         vmax = max(vmax, v)
-    return RangeReport(ok=(lo <= vmin and vmax <= hi), vmin=vmin, vmax=vmax,
-                       lo=lo, hi=hi, grid_n=grid_n)
+    return RangeReport(ok=(lo <= vmin and vmax <= hi), vmin=vmin, vmax=vmax)

@@ -2,12 +2,15 @@
 
 Two constructions share one code path: the finite-measure case (uniform on
 [0,1], weight w == 1) and the sigma-finite case (band measure on R with
-density 1/w), because the series always multiplies each point by
-w(V_i)^(1/alpha(u)).
+density 1/w), because a measure's sampler returns each point V_i with its
+weight and the series always multiplies each point by w(V_i)^(1/alpha(t)).
+
+Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
+the localisability probes also vary u.
 
 Also houses the kernel-specific integrals: the lmmm scale integral
 sigma_lmmm, its generalization kink_power_integral, and the measure-weighted
-pair integrals that drive truncation-tail covariances.
+pair integrals at two path times that drive truncation-tail covariances.
 """
 
 from __future__ import annotations
@@ -84,24 +87,20 @@ def _bands_from_uniform(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Sampler for m-hat plus the per-point weight w."""
+    """Sampler of m-hat: n points V_i with their weights w(V_i)."""
 
-    tag: str
     sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-    weight: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Kernel f(t,u,x), vectorized over x."""
 
-    tag: str
     evaluate: Callable[[float, float, np.ndarray], np.ndarray]
     # exponent kappa(u) = H(u) - 1/alpha(u) for the lmmm family, None for levy
     kappa: Optional[Callable[[float], float]] = None
     # one-sided weights, set only by lfsm_kernel
     side_weights: Optional[tuple[float, float]] = None
-    notes: str = ""
 
 
 def _levy_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +115,7 @@ def levy_kernel() -> tuple[Kernel, MeasureSpec]:
         x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= t)).astype(float)
 
-    kernel = Kernel(tag="levy", evaluate=evaluate,
-                    notes="closed at both interval ends")
-    measure = MeasureSpec(tag="levy", sample=_levy_sample,
-                          weight=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    return kernel, measure
+    return Kernel(evaluate=evaluate), MeasureSpec(sample=_levy_sample)
 
 
 def _lmmm_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,11 +124,6 @@ def _lmmm_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     pos = u[:, 1]
     x = np.where(pos < 0.5, -j + 2.0 * pos, (j - 1.0) + (2.0 * pos - 1.0))
     return x, _PI2_3 * j * j
-
-
-def _lmmm_weight(x: np.ndarray) -> np.ndarray:
-    j = np.floor(np.abs(np.asarray(x, dtype=float))) + 1.0
-    return _PI2_3 * j * j
 
 
 def _power_diff(t: float, k: float, x: np.ndarray,
@@ -169,10 +159,8 @@ def lmmm_kernel(alpha: FuncSpec, H: FuncSpec) -> tuple[Kernel, MeasureSpec]:
     def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
         return _power_diff(t, kappa(u), np.asarray(x, dtype=float))
 
-    kernel = Kernel(tag="lmmm", evaluate=evaluate, kappa=kappa,
-                    notes="requires H(u)-1/alpha(u) >= 0 for the Holder bound")
-    measure = MeasureSpec(tag="lmmm", sample=_lmmm_sample, weight=_lmmm_weight)
-    return kernel, measure
+    return (Kernel(evaluate=evaluate, kappa=kappa),
+            MeasureSpec(sample=_lmmm_sample))
 
 
 def lfsm_kernel(alpha_const: float, H_const: float,
@@ -189,7 +177,7 @@ def lfsm_kernel(alpha_const: float, H_const: float,
     def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
         return _power_diff(t, k, np.asarray(x, dtype=float), (b_plus, b_minus))
 
-    return Kernel(tag="lfsm", evaluate=evaluate, kappa=lambda u: k,
+    return Kernel(evaluate=evaluate, kappa=lambda u: k,
                   side_weights=(b_plus, b_minus))
 
 
@@ -216,7 +204,7 @@ class ProcessSpec:
 
     def kappa(self, u: float) -> float:
         if self.kernel.kappa is None:
-            raise ValueError(f"kernel {self.kernel.tag!r} has no kappa exponent")
+            raise ValueError(f"process {self.tag!r} has no kappa exponent")
         return self.kernel.kappa(u)
 
 
@@ -256,7 +244,7 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
         a0 = alpha(0.5 * (domain[0] + domain[1]))
         H0 = H(0.5 * (domain[0] + domain[1]))
         kernel = lfsm_kernel(a0, H0, b_plus, b_minus)
-        _, measure = lmmm_kernel(alpha, H)
+        measure = MeasureSpec(sample=_lmmm_sample)
     else:
         raise ValueError(f"unknown process tag {tag!r}")
     return ProcessSpec(tag=tag, kernel=kernel, measure=measure, alpha=alpha,
@@ -264,10 +252,9 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
                        warnings=tuple(warnings))
 
 
-def _kappa_min(alpha: FuncSpec, H: FuncSpec, domain: tuple[float, float],
-               grid_n: int = 257) -> float:
-    lo, hi = domain
-    ts = np.linspace(lo, hi, grid_n)
+def _kappa_min(alpha: FuncSpec, H: FuncSpec,
+               domain: tuple[float, float]) -> float:
+    ts = np.linspace(domain[0], domain[1], 257)
     return min(H(t) - 1.0 / alpha(t) for t in ts)
 
 
@@ -275,12 +262,13 @@ def _kappa_min(alpha: FuncSpec, H: FuncSpec, domain: tuple[float, float],
 # kernel integrals
 
 
-def kink_power_integral(a: float, kappa: float, x_max: float = 50.0) -> float:
+def kink_power_integral(a: float, kappa: float) -> float:
     """int_R | |1-x|^kappa - |x|^kappa |^a dx.
 
     Adaptive quadrature split at the kinks {0, 1}, plus the analytic
-    power-law tail beyond |x| = x_max.  Requires (kappa-1)*a < -1.
+    power-law tail beyond |x| = 50.  Requires (kappa-1)*a < -1.
     """
+    x_max = 50.0
     if kappa == 0.0:
         return 0.0
     beta = -((kappa - 1.0) * a + 1.0)
@@ -315,7 +303,7 @@ def _band_pair_integral(fA: Callable[[np.ndarray], np.ndarray],
                         fB: Callable[[np.ndarray], np.ndarray],
                         interior_kinks: list[float],
                         far_coef: float, far_exp: float,
-                        sbar: float, j0: int = 4096) -> float:
+                        sbar: float) -> float:
     """sum_j (pi^2 j^2 / 3)^(sbar-1) int_{band j} fA fB dx.
 
     Band 1 is integrated adaptively with explicit kink points (fixed-node
@@ -323,6 +311,7 @@ def _band_pair_integral(fA: Callable[[np.ndarray], np.ndarray],
     differences); bands 2..j0 use vectorized GL-8; beyond j0 the integrand is
     far_coef * |x|^far_exp per band pair, summed by Hurwitz zeta.
     """
+    j0 = 4096
     pts = sorted({k for k in interior_kinks if -1.0 < k < 1.0})
     v1, _ = quad(lambda x: float(fA(np.array([x]))[0] * fB(np.array([x]))[0]),
                  -1.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-12,
@@ -342,9 +331,9 @@ def _band_pair_integral(fA: Callable[[np.ndarray], np.ndarray],
     return total
 
 
-def pair_integral(spec: ProcessSpec, tA: float, uA: float,
-                  tB: float, uB: float, sbar: float) -> float:
-    """R_AB = E_mhat[ w(V)^sbar f(tA,uA,V) f(tB,uB,V) ].
+def pair_integral(spec: ProcessSpec, tA: float, tB: float,
+                  sbar: float) -> float:
+    """R_AB = E_mhat[ w(V)^sbar f(tA,tA,V) f(tB,tB,V) ] at two path times.
 
     Since w is the reciprocal density of mhat, this equals the Lebesgue
     integral of w^(sbar-1) fA fB.  The zeta-weighted sum of these drives the
@@ -352,9 +341,9 @@ def pair_integral(spec: ProcessSpec, tA: float, uA: float,
     """
     if spec.tag == "levy":
         return min(tA, tB)
-    kA, kB = spec.kappa(uA), spec.kappa(uB)
-    fA = lambda x: spec.kernel.evaluate(tA, uA, x)
-    fB = lambda x: spec.kernel.evaluate(tB, uB, x)
+    kA, kB = spec.kappa(tA), spec.kappa(tB)
+    fA = lambda x: spec.kernel.evaluate(tA, tA, x)
+    fB = lambda x: spec.kernel.evaluate(tB, tB, x)
     if spec.kernel.side_weights is None:
         far_coef = 2.0 * kA * kB * tA * tB
     else:

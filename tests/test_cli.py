@@ -156,6 +156,22 @@ BAD_CONFIGS = [
      "b_plus"),
     ("path", _path_cfg(b="log(t)"), "'b'"),
     ("path", _path_cfg(alpha="1.5+0.1*log(t)"), "'alpha'"),
+    # a seed or --seed beyond one 32-bit key word aliases another key
+    ("path", _path_cfg(seed=2 ** 32), "seed"),
+    # the levy measure lives on [0, 1]: beyond t = 1 the path froze
+    ("path", _path_cfg(domain=[0, 3], grid=[0.5, 1, 1.5, 2, 3]), "domain"),
+    # lfsm-control freezes its kernel at one (alpha, H)
+    ("path", _path_cfg(process="lfsm-control", alpha="1.5+0.3*t",
+                       H="0.7+0.2*t", stability_bounds=[1.2, 1.9]),
+     "'alpha'"),
+    ("path", _path_cfg(process="lfsm-control", alpha="1.5", H="0.7+0.2*t",
+                       stability_bounds=[1.2, 1.9]), "'H'"),
+    # misspelt keys are not dropped
+    ("path", _path_cfg(n_path=3), "n_path"),
+    ("path", _path_cfg(grid={"start": 0.0, "stop": 1.0, "n": 5,
+                             "step": 0.25}), "grid"),
+    ("moments", _moments_cfg(eps={"start_exp": -4, "stop_exp": -6,
+                                  "bsae": 3}), "eps"),
 ]
 
 
@@ -216,6 +232,14 @@ BAD_VALUES = st.one_of(
 )
 
 
+_NAMES = sorted({k.name for k in SCHEMA})
+
+# a key name with one character dropped, e.g. n_paths -> n_path
+MISSPELT = st.sampled_from(_NAMES).flatmap(
+    lambda k: st.integers(0, len(k) - 1).map(lambda i: k[:i] + k[i + 1:])
+).filter(lambda k: k not in _NAMES)
+
+
 @st.composite
 def _one_bad_key(draw):
     command = draw(st.sampled_from(sorted(SMALL)))
@@ -223,17 +247,22 @@ def _one_bad_key(draw):
     key = draw(st.sampled_from(sorted({k.name for k in SCHEMA
                                        if command in k.commands})))
     cfg[key] = draw(BAD_VALUES)
-    return command, cfg
+    typo = draw(st.one_of(st.none(), MISSPELT))
+    if typo is not None:
+        cfg[typo] = cfg[key]
+    return command, cfg, typo is not None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_one_bad_key())
 def test_one_bad_key_never_raises_or_writes_nan(case):
-    command, cfg = case
+    command, cfg, misspelt = case
     with tempfile.TemporaryDirectory() as tmp:
         rc = _run(Path(tmp), cfg, command)
         # verify reports a failed self-check with 4
         assert rc in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
+        if misspelt:
+            assert rc == 2
         if rc == 0:
             _assert_finite_csvs(Path(tmp) / "out")
 

@@ -137,8 +137,7 @@ class TestTailCovariance:
     def test_levy_entries_are_analytic(self):
         spec = _levy_spec(alpha="1.5", b="2")
         n = 1000
-        pts = [(0.3, 0.3), (0.7, 0.7)]
-        cov = tail_covariance(spec, pts, n)
+        cov = tail_covariance(spec, [0.3, 0.7], n)
         s = 1.0 / 1.5
         pref = 2.0 * c_alpha(1.5) ** s
         z = zeta(2.0 * s, n + 1)
@@ -151,7 +150,7 @@ class TestTailCovariance:
     def test_degenerate_point_stays_exactly_zero(self):
         # Y(0) = 0 for the levy family; the tail draw must not blur that
         spec = _levy_spec()
-        cov = tail_covariance(spec, [(0.0, 0.0), (0.5, 0.5)], 500)
+        cov = tail_covariance(spec, [0.0, 0.5], 500)
         assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
         chol = tail_sqrt(cov)
         draw = tail_draw(chol, seed=4, index=9)
@@ -159,8 +158,7 @@ class TestTailCovariance:
 
     def test_sqrt_reproduces_covariance(self):
         spec = _lmmm_spec()
-        pts = [(0.2, 0.2), (0.5, 0.5), (0.8, 0.8)]
-        cov = tail_covariance(spec, pts, 800)
+        cov = tail_covariance(spec, [0.2, 0.5, 0.8], 800)
         chol = tail_sqrt(cov)
         assert np.allclose(chol @ chol.T, cov, rtol=1e-10, atol=1e-18)
 
@@ -225,6 +223,13 @@ class TestStreamKeys:
         keys = [_substream(7, 3, p).bit_generator.seed_seq.entropy
                 for p in ("arrivals", "points", "signs", "tail")]
         assert keys == [(7, 3, 0), (7, 3, 1), (7, 3, 2), (7, 3, 3)]
+
+    @pytest.mark.parametrize("seed,index", [(2 ** 32, 0), (0, 2 ** 32),
+                                            (-1, 0), (2 ** 32 * 7 + 3, 2)])
+    def test_key_words_beyond_32_bits_rejected(self, seed, index):
+        # (2^32*7 + 3, 2, arrivals) would be the key of (3, 7, signs)
+        with pytest.raises(ValueError, match="2\\^32"):
+            _substream(seed, index, "arrivals")
 
     @given(seed_a=_WORD, index_a=_WORD, seed_b=_WORD, index_b=_WORD,
            purposes=st.permutations(sorted(_STREAMS)))

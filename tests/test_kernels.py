@@ -207,32 +207,31 @@ class TestKinkIntegral:
 class TestPairIntegral:
     def test_levy_is_min_of_times(self):
         spec = _levy_spec()
-        assert pair_integral(spec, 0.3, 0.3, 0.8, 0.8, 1.3) == 0.3
-        assert pair_integral(spec, 0.9, 0.9, 0.2, 0.2, 1.1) == 0.2
+        assert pair_integral(spec, 0.3, 0.8, 1.3) == 0.3
+        assert pair_integral(spec, 0.9, 0.2, 1.1) == 0.2
 
     def test_symmetry(self):
         spec = _lmmm_spec()
-        a = pair_integral(spec, 0.3, 0.3, 0.7, 0.7, 1.25)
-        b = pair_integral(spec, 0.7, 0.7, 0.3, 0.3, 1.25)
+        a = pair_integral(spec, 0.3, 0.7, 1.25)
+        b = pair_integral(spec, 0.7, 0.3, 1.25)
         assert abs(a - b) < 1e-10 * abs(a)
 
     def test_against_direct_monte_carlo(self):
         spec = _lmmm_spec(alpha="1.7", H="0.75")
-        tA = uA = 0.4
-        tB = uB = 0.9
+        tA, tB = 0.4, 0.9
         sbar = 1.0 / 1.7 + 1.0 / 1.7
         rng = np.random.default_rng(8)
         x, w = _lmmm_sample(rng, 400000)
-        fa = spec.kernel.evaluate(tA, uA, x)
-        fb = spec.kernel.evaluate(tB, uB, x)
+        fa = spec.kernel.evaluate(tA, tA, x)
+        fb = spec.kernel.evaluate(tB, tB, x)
         samples = w ** sbar * fa * fb
-        got = pair_integral(spec, tA, uA, tB, uB, sbar)
+        got = pair_integral(spec, tA, tB, sbar)
         se = np.std(samples) / math.sqrt(samples.shape[0])
         assert abs(np.mean(samples) - got) < 4.0 * se
 
     def test_diagonal_entry_is_positive(self):
         spec = _lmmm_spec()
-        v = pair_integral(spec, 0.5, 0.5, 0.5, 0.5, 2.0 / 1.7)
+        v = pair_integral(spec, 0.5, 0.5, 2.0 / 1.7)
         assert v > 0.0
 
 

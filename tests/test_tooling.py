@@ -59,6 +59,10 @@ def test_traced_child_run(tmp_path, command):
     if command != "path":
         assert layers["estimate.reduce.calls"] > 0
         assert layers["engine.tail_draw.calls"] > 0
+        # three grid points once (holder) or two grid points at two eps
+        # levels (moments): the tracer's pair count is the grid's
+        assert (layers["engine.tail_covariance.pairs"]
+                == layers["kernels.pair_integral.calls"] == 6)
 
 
 @pytest.mark.parametrize("command,cfg", [(w.command, w.config)
