@@ -15,7 +15,7 @@ from .estimate import (ECFReport, HolderEstimate, KSResult, MomentEstimate,
 from .expr import (EvalError, ExprError, FuncSpec, ParseError, RangeReport,
                    eval_expr, parse_expr, to_source, validate_range)
 from .kernels import (Kernel, MeasureSpec, ProcessSpec, kink_power_integral,
-                      levy_kernel, lfsm_kernel, lmmm_kernel, make_process,
+                      levy_kernel, lmmm_kernel, make_process,
                       pair_integral, sigma_lmmm)
 from .stable import (QuadratureConfig, c_alpha, cms_sample, gamma_fn,
                      sas_abs_moment, sin2_integral, sin2_phase_integral)
@@ -30,8 +30,7 @@ __all__ = [
     "sas_abs_moment", "gamma_fn", "cms_sample",
     # kernels and processes
     "Kernel", "MeasureSpec", "ProcessSpec", "levy_kernel", "lmmm_kernel",
-    "lfsm_kernel", "make_process", "sigma_lmmm", "kink_power_integral",
-    "pair_integral",
+    "make_process", "sigma_lmmm", "kink_power_integral", "pair_integral",
     # series engine
     "PoissonEnvironment", "build_environment", "eval_diagonal_path",
     "truncation_diagnostic", "TruncationReport", "tail_covariance",

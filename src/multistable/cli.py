@@ -40,7 +40,7 @@ from .engine import _substream, truncation_diagnostic
 from .estimate import (condition_probe, diagonal_samples, ecf_compare,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample)
-from .expr import ExprError, FuncSpec, validate_range
+from .expr import ExprError, FuncSpec
 from .kernels import ProcessSpec, make_process, sigma_lmmm
 from .stable import QuadratureConfig, c_alpha, cms_sample, sin2_integral
 
@@ -71,6 +71,11 @@ def _write_csv(path: Path, header: Sequence[str],
 # config schema: every key a command reads, checked before any work runs
 
 
+# the most values a count may ask for (2^24 float64 values take 128 MiB):
+# n_terms, n_paths x grid points, m_paths x levels, levels in one family
+_MAX_VALUES = 2 ** 24
+
+
 def _ok(cond: bool, value):
     """value if cond holds; the parsers below reject with ValueError."""
     if not cond:
@@ -91,7 +96,7 @@ def _parse_levels(v) -> list[float]:
         base = _number(v.get("base", 2))
         # the smallest level must not underflow, which also bounds the range
         _ok(type(a) is int and type(z) is int and base > 1.0
-            and base ** min(a, z) > 0.0, v)
+            and abs(z - a) < _MAX_VALUES and base ** min(a, z) > 0.0, v)
         step = -1 if z < a else 1
         levels = [base ** k for k in range(a, z + step, step)]
     else:
@@ -107,7 +112,8 @@ def _times(v) -> list[float]:
 def _grid(v) -> np.ndarray:
     if type(v) is dict:
         _ok(set(v) <= {"start", "stop", "n"}, v)
-        n = _ok(type(v.get("n")) is int and v["n"] >= 2, v.get("n"))
+        n = _ok(type(v.get("n")) is int and 2 <= v["n"] <= _MAX_VALUES,
+                v.get("n"))
         return np.linspace(_number(v.get("start")), _number(v.get("stop")), n)
     return np.asarray(_ok(type(v) is list and len(v) >= 2, _times(v)))
 
@@ -121,7 +127,8 @@ def _pair(ok):
 
 # (what, parse) pairs: type and bounds as messages state them, and the parser
 def _int(lo):
-    return f"an integer >= {lo}", lambda v: _ok(type(v) is int and v >= lo, v)
+    return (f"an integer in [{lo}, 2^24]",
+            lambda v: _ok(type(v) is int and lo <= v <= _MAX_VALUES, v))
 
 
 def _one_of(*options):
@@ -132,7 +139,8 @@ def _one_of(*options):
 _EXPR = ("an expression in t", lambda v: _ok(type(v) is str, v))
 _POSITIVE = ("a number > 0", lambda v: _ok(_number(v) > 0.0, float(v)))
 _LEVELS = ("two or more distinct positive levels: a list, or {start_exp, "
-           "stop_exp, base} with integer exponents, base > 1", _parse_levels)
+           "stop_exp, base} with integer exponents less than 2^24 apart, "
+           "base > 1", _parse_levels)
 
 # a default is a checked value, or _REQUIRED
 _Key = namedtuple("_Key", "name what parse default commands")
@@ -140,8 +148,8 @@ _REQUIRED = object()
 _SIM = ("path", "moments", "holder")
 
 # README.md mirrors this table.  check_config rejects any other key and adds
-# the cross-key rules: every time (grid, t, t + eps, t + r) lies in the
-# domain, and eta < c; build_spec adds the model rules.
+# the cross-key rules: the count caps, every time (grid, t, t + eps, t + r)
+# lies in the domain, and eta < c; build_spec adds the model rules.
 SCHEMA = (
     _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
     _Key("alpha", *_EXPR, _REQUIRED, _SIM),
@@ -160,8 +168,8 @@ SCHEMA = (
          _SIM + ("verify",)),
     _Key("tail", *_one_of("gauss", "none"), "none", ("path",)),
     _Key("tail", *_one_of("gauss", "none"), "gauss", ("moments", "holder")),
-    _Key("grid", "{start, stop, n} with an integer n >= 2, or a list of two "
-         "or more times", _grid, _REQUIRED, ("path",)),
+    _Key("grid", "{start, stop, n} with an integer n in [2, 2^24], or a "
+         "list of two or more times", _grid, _REQUIRED, ("path",)),
     _Key("n_paths", *_int(1), 1, ("path",)),
     _Key("t", "a time", _number, _REQUIRED, ("moments",)),
     _Key("t", "a time or a list of times", _times, _REQUIRED, ("holder",)),
@@ -227,15 +235,15 @@ def build_spec(cfg: dict) -> ProcessSpec:
             try:
                 funcs[key] = FuncSpec.parse(v[key], v["domain"])
                 # raises EvalError where the function cannot be evaluated
-                rep = validate_range(funcs[key], -math.inf, math.inf)
+                vals = funcs[key].grid_values
             except ExprError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
             if (v["process"] == "lfsm-control" and key != "b"
-                    and rep.vmin != rep.vmax):
-                # its kernel is frozen at one (alpha, H)
+                    and min(vals) != max(vals)):
+                # the control is the linear fractional stable motion
                 raise ConfigError(
                     f"config key {key!r} must be constant for lfsm-control, "
-                    f"got values in [{rep.vmin!r}, {rep.vmax!r}]")
+                    f"got values in [{min(vals)!r}, {max(vals)!r}]")
     try:
         return make_process(v["process"], funcs["alpha"], funcs["b"],
                             funcs["H"], v["domain"], *v["stability_bounds"],
@@ -253,6 +261,11 @@ def check_config(cfg: dict, command: str) -> dict:
     run = _checked(cfg, [k for k in SCHEMA if command in k.commands])
     if command == "verify":
         return run
+    count, lev = {"path": ("n_paths", "grid"), "moments": ("m_paths", "eps"),
+                  "holder": ("m_paths", "r")}[command]
+    if run[count] * len(run[lev]) > _MAX_VALUES:
+        raise ConfigError(f"config key {count!r} times the {len(run[lev])} "
+                          f"points of {lev!r} exceeds 2^24 values")
     spec = run["spec"] = build_spec(cfg)
     lo, hi = spec.domain
     if command == "path":
@@ -298,7 +311,7 @@ def _derived_at(spec: ProcessSpec, t: float) -> dict:
            "prefactor": spec.b(t) * c_alpha(a) ** (1.0 / a),
            "h": spec.h(t)}
     if spec.tag != "levy":
-        out["sigma"] = sigma_lmmm(a, spec.H(t))
+        out["sigma"] = sigma_lmmm(a, spec.H(t), spec.kernel.side_weights)
     return out
 
 

@@ -148,7 +148,8 @@ def theoretical_scaling(spec: ProcessSpec, t: float,
     stable law (scale 1 for the indicator kernel, the kink integral root for
     the moving-average family), shifted by the local field scale b(t)."""
     a = spec.alpha(t)
-    sigma = 1.0 if spec.tag == "levy" else sigma_lmmm(a, spec.H(t))
+    sigma = (1.0 if spec.tag == "levy"
+             else sigma_lmmm(a, spec.H(t), spec.kernel.side_weights))
     slope = eta * spec.h(t)
     intercept = (math.log(sas_abs_moment(a, sigma, eta))
                  + eta * math.log(abs(spec.b(t))))
@@ -426,19 +427,15 @@ def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
         if cond == "C13":
             return t
         return 0.0  # Cu15: integrand identically zero
-    k_t = spec.kappa(t)
-    k_tr = spec.kappa(t + r)
-    if cond == "C9":
-        return kink_power_integral(a, k_t)
-    if cond == "C11":
-        return (t + r) ** (1.0 + 2.0 * k_t) * kink_power_integral(2.0, k_t)
-    if cond == "C12":
-        return (t + r) ** (1.0 + 2.0 * k_tr) * kink_power_integral(2.0, k_tr)
-    if cond == "C13":
-        return t ** (1.0 + 2.0 * k_t) * kink_power_integral(2.0, k_t)
-    if cond == "Cu14":
-        return kink_power_integral(2.0, k_t)
-    return _cu15_quad(spec, t, r)
+    if cond == "Cu15":
+        return _cu15_quad(spec, t, r)
+    k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
+    # x -> v x: v^(1+2 kappa) times a kink integral, v = 1 where normalised
+    v, k, p = {"C9": (1.0, k_t, a), "C11": (t + r, k_t, 2.0),
+               "C12": (t + r, k_tr, 2.0), "C13": (t, k_t, 2.0),
+               "Cu14": (1.0, k_t, 2.0)}[cond]
+    return (v ** (1.0 + 2.0 * k)
+            * kink_power_integral(p, k, spec.kernel.side_weights))
 
 
 def _cu15_quad(spec: ProcessSpec, t: float, r: float) -> float:
@@ -460,11 +457,14 @@ def _cu15_quad(spec: ProcessSpec, t: float, r: float) -> float:
     for lo, hi in ((-x_max, 0.0), (0.0, 0.5 * v), (0.5 * v, v), (v, x_max)):
         val, _ = _quad(g, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
         total += val
-    # far field: f(v,.,x) ~ -kappa v sign(x) |x|^(kappa-1), both sides alike
+    # far field: f(v,.,x) ~ -kappa v sign(x) |x|^(kappa-1), weighted
+    # b_minus on the right and b_plus on the left
+    bp, bm = spec.kernel.side_weights or (1.0, 1.0)
     for e, coef in ((2.0 * kv - 2.0, kv * kv),
                     (kv + ku - 2.0, -2.0 * kv * ku),
                     (2.0 * ku - 2.0, ku * ku)):
-        total += 2.0 * v * v * coef * x_max ** (e + 1.0) / (-e - 1.0)
+        total += ((bp * bp + bm * bm) * v * v * coef * x_max ** (e + 1.0)
+                  / (-e - 1.0))
     return total / (r * r)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 __all__ = [
@@ -379,6 +380,22 @@ class FuncSpec:
             raise ExprError(f"empty domain ({lo}, {hi})")
         return cls(source=source, ast=parse_expr(source), domain=(lo, hi))
 
+    @cached_property
+    def grid_values(self) -> tuple[float, ...]:
+        """Values on a uniform 257-point grid over the domain, evaluated
+        once; raises :class:`EvalError` naming the grid point where
+        evaluation fails."""
+        n, (a, b) = 257, self.domain
+        values = []
+        for k in range(n):
+            t = a + (b - a) * k / (n - 1)
+            try:
+                values.append(eval_expr(self.ast, t))
+            except EvalError as exc:
+                raise EvalError(f"evaluation failed at grid point t={t!r}: "
+                                f"{exc}") from exc
+        return tuple(values)
+
 
 @dataclass(frozen=True)
 class RangeReport:
@@ -388,20 +405,7 @@ class RangeReport:
 
 
 def validate_range(fs: FuncSpec, lo: float, hi: float) -> RangeReport:
-    """Evaluate ``fs`` on a uniform grid over its domain and check [lo, hi].
-
-    Raises :class:`EvalError` naming the grid point if evaluation fails there.
-    """
-    grid_n = 257
-    a, b = fs.domain
-    vmin = math.inf
-    vmax = -math.inf
-    for k in range(grid_n):
-        t = a + (b - a) * k / (grid_n - 1)
-        try:
-            v = eval_expr(fs.ast, t)
-        except EvalError as exc:
-            raise EvalError(f"evaluation failed at grid point t={t!r}: {exc}") from exc
-        vmin = min(vmin, v)
-        vmax = max(vmax, v)
+    """Check the values of ``fs`` on its domain grid against [lo, hi];
+    raises :class:`EvalError` naming the grid point where evaluation fails."""
+    vmin, vmax = min(fs.grid_values), max(fs.grid_values)
     return RangeReport(ok=(lo <= vmin and vmax <= hi), vmin=vmin, vmax=vmax)

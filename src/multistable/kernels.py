@@ -31,7 +31,6 @@ __all__ = [
     "ProcessSpec",
     "levy_kernel",
     "lmmm_kernel",
-    "lfsm_kernel",
     "sigma_lmmm",
     "kink_power_integral",
     "pair_integral",
@@ -99,7 +98,7 @@ class Kernel:
     evaluate: Callable[[float, float, np.ndarray], np.ndarray]
     # exponent kappa(u) = H(u) - 1/alpha(u) for the lmmm family, None for levy
     kappa: Optional[Callable[[float], float]] = None
-    # one-sided weights, set only by lfsm_kernel
+    # side weights (b_plus, b_minus) of the lmmm family; None means (1, 1)
     side_weights: Optional[tuple[float, float]] = None
 
 
@@ -150,35 +149,21 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     return out
 
 
-def lmmm_kernel(alpha: FuncSpec, H: FuncSpec) -> tuple[Kernel, MeasureSpec]:
-    """Moving-average kernel |t-x|^kappa(u) - |x|^kappa(u), band measure on R."""
+def lmmm_kernel(alpha: FuncSpec, H: FuncSpec,
+                side_weights: Optional[tuple[float, float]] = None
+                ) -> tuple[Kernel, MeasureSpec]:
+    """Moving-average kernel |t-x|^kappa(u) - |x|^kappa(u), band measure on R,
+    each power weighted b_plus left of its kink and b_minus right of it."""
 
     def kappa(u: float) -> float:
         return H(u) - 1.0 / alpha(u)
 
     def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
-        return _power_diff(t, kappa(u), np.asarray(x, dtype=float))
+        return _power_diff(t, kappa(u), np.asarray(x, dtype=float),
+                           side_weights)
 
-    return (Kernel(evaluate=evaluate, kappa=kappa),
+    return (Kernel(evaluate=evaluate, kappa=kappa, side_weights=side_weights),
             MeasureSpec(sample=_lmmm_sample))
-
-
-def lfsm_kernel(alpha_const: float, H_const: float,
-                b_plus: float = 1.0, b_minus: float = 1.0) -> Kernel:
-    """Well-balanced (or skewed) linear fractional stable kernel, constant
-    parameters; with b_plus = b_minus = 1 it coincides with the lmmm kernel
-    frozen at (alpha_const, H_const)."""
-    if not 0.0 < alpha_const < 2.0:
-        raise ValueError(f"alpha must lie in (0,2), got {alpha_const!r}")
-    if not 0.0 < H_const < 1.0:
-        raise ValueError(f"H must lie in (0,1), got {H_const!r}")
-    k = H_const - 1.0 / alpha_const
-
-    def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
-        return _power_diff(t, k, np.asarray(x, dtype=float), (b_plus, b_minus))
-
-    return Kernel(evaluate=evaluate, kappa=lambda u: k,
-                  side_weights=(b_plus, b_minus))
 
 
 @dataclass(frozen=True)
@@ -225,26 +210,22 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
     if tag == "levy":
         kernel, measure = levy_kernel()
         H = None
-    elif tag == "lmmm":
+    elif tag in ("lmmm", "lfsm-control"):
         if H is None:
-            raise ValueError("lmmm requires an H function")
-        hrep = validate_range(H, 0.0, 1.0)
-        if not hrep.ok:
-            raise ValueError(
-                f"H range [{hrep.vmin:.6g}, {hrep.vmax:.6g}] leaves (0,1)")
-        kernel, measure = lmmm_kernel(alpha, H)
-        kmin = _kappa_min(alpha, H, domain)
+            raise ValueError(f"{tag} requires an H function")
+        hmin, hmax = min(H.grid_values), max(H.grid_values)
+        if not 0.0 < hmin <= hmax < 1.0:
+            raise ValueError(f"H range [{hmin:.6g}, {hmax:.6g}] leaves (0,1)")
+        weights = (b_plus, b_minus) if tag == "lfsm-control" else None
+        if weights == (0.0, 0.0):
+            raise ValueError("side weights b_plus and b_minus are both 0")
+        kernel, measure = lmmm_kernel(alpha, H, weights)
+        kmin = min(h - 1.0 / a
+                   for a, h in zip(alpha.grid_values, H.grid_values))
         if kmin < 0.0:
             warnings.append(
                 f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound "
                 "is not asserted in this regime")
-    elif tag == "lfsm-control":
-        if H is None:
-            raise ValueError("lfsm-control requires an H function (constant)")
-        a0 = alpha(0.5 * (domain[0] + domain[1]))
-        H0 = H(0.5 * (domain[0] + domain[1]))
-        kernel = lfsm_kernel(a0, H0, b_plus, b_minus)
-        measure = MeasureSpec(sample=_lmmm_sample)
     else:
         raise ValueError(f"unknown process tag {tag!r}")
     return ProcessSpec(tag=tag, kernel=kernel, measure=measure, alpha=alpha,
@@ -252,48 +233,52 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
                        warnings=tuple(warnings))
 
 
-def _kappa_min(alpha: FuncSpec, H: FuncSpec,
-               domain: tuple[float, float]) -> float:
-    ts = np.linspace(domain[0], domain[1], 257)
-    return min(H(t) - 1.0 / alpha(t) for t in ts)
-
-
 # ---------------------------------------------------------------------------
 # kernel integrals
 
 
-def kink_power_integral(a: float, kappa: float) -> float:
-    """int_R | |1-x|^kappa - |x|^kappa |^a dx.
+def kink_power_integral(a: float, kappa: float,
+                        side_weights: Optional[tuple[float, float]] = None
+                        ) -> float:
+    """int_R |f(1,x)|^a dx for the kernel f(1,x) = |1-x|^kappa - |x|^kappa,
+    each power weighted b_plus left of its kink and b_minus right of it.
 
     Adaptive quadrature split at the kinks {0, 1}, plus the analytic
     power-law tail beyond |x| = 50.  Requires (kappa-1)*a < -1.
     """
     x_max = 50.0
+    bp, bm = side_weights or (1.0, 1.0)
     if kappa == 0.0:
-        return 0.0
+        # f(1,x) = b_plus - b_minus on (0, 1) and 0 elsewhere
+        return abs(bp - bm) ** a
     beta = -((kappa - 1.0) * a + 1.0)
     if beta <= 0.0:
         raise ValueError(f"tail diverges: (kappa-1)*a+1 = {-beta!r} >= 0")
 
     def g(x: float) -> float:
-        return abs(abs(1.0 - x) ** kappa - abs(x) ** kappa) ** a
+        return abs((bp if x < 1.0 else bm) * abs(1.0 - x) ** kappa
+                   - (bp if x < 0.0 else bm) * abs(x) ** kappa) ** a
 
     total = 0.0
     for lo, hi in ((-x_max, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, x_max)):
         val, _ = quad(g, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=400)
         total += val
-    total += 2.0 * abs(kappa) ** a * x_max ** (-beta) / beta
+    # far field: |f(1,x)| ~ b |kappa| |x|^(kappa-1), b = b_plus left of 0
+    total += ((abs(bp) ** a + abs(bm) ** a) * abs(kappa) ** a
+              * x_max ** (-beta) / beta)
     return total
 
 
-def sigma_lmmm(alpha_t: float, H_t: float) -> float:
+def sigma_lmmm(alpha_t: float, H_t: float,
+               side_weights: Optional[tuple[float, float]] = None) -> float:
     """Scale of the tangent stable law: the alpha-th root of the kink
-    integral at kappa = H - 1/alpha."""
+    integral at kappa = H - 1/alpha, with the kernel's side weights."""
     if not 0.0 < alpha_t < 2.0:
         raise ValueError(f"alpha must lie in (0,2), got {alpha_t!r}")
     if not 0.0 < H_t < 1.0:
         raise ValueError(f"H must lie in (0,1), got {H_t!r}")
-    return kink_power_integral(alpha_t, H_t - 1.0 / alpha_t) ** (1.0 / alpha_t)
+    return kink_power_integral(alpha_t, H_t - 1.0 / alpha_t,
+                               side_weights) ** (1.0 / alpha_t)
 
 
 _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
@@ -344,12 +329,9 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     kA, kB = spec.kappa(tA), spec.kappa(tB)
     fA = lambda x: spec.kernel.evaluate(tA, tA, x)
     fB = lambda x: spec.kernel.evaluate(tB, tB, x)
-    if spec.kernel.side_weights is None:
-        far_coef = 2.0 * kA * kB * tA * tB
-    else:
-        # far field: f ~ -b_minus*kappa*t*x^(kappa-1) as x -> +inf and
-        # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
-        bp, bm = spec.kernel.side_weights
-        far_coef = (bp * bp + bm * bm) * kA * kB * tA * tB
+    # far field: f ~ -b_minus*kappa*t*x^(kappa-1) as x -> +inf and
+    # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
+    bp, bm = spec.kernel.side_weights or (1.0, 1.0)
+    far_coef = (bp * bp + bm * bm) * kA * kB * tA * tB
     far_exp = kA + kB - 2.0
     return _band_pair_integral(fA, fB, [0.0, tA, tB], far_coef, far_exp, sbar)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistable.cli import SCHEMA, main
+from multistable import cli, expr
+from multistable.cli import SCHEMA, build_spec, main
 
 LEVY_CFG = {
     "process": "levy",
@@ -160,7 +161,7 @@ BAD_CONFIGS = [
     ("path", _path_cfg(seed=2 ** 32), "seed"),
     # the levy measure lives on [0, 1]: beyond t = 1 the path froze
     ("path", _path_cfg(domain=[0, 3], grid=[0.5, 1, 1.5, 2, 3]), "domain"),
-    # lfsm-control freezes its kernel at one (alpha, H)
+    # lfsm-control takes a constant alpha and H
     ("path", _path_cfg(process="lfsm-control", alpha="1.5+0.3*t",
                        H="0.7+0.2*t", stability_bounds=[1.2, 1.9]),
      "'alpha'"),
@@ -172,6 +173,20 @@ BAD_CONFIGS = [
                              "step": 0.25}), "grid"),
     ("moments", _moments_cfg(eps={"start_exp": -4, "stop_exp": -6,
                                   "bsae": 3}), "eps"),
+    # H lies in the open interval (0, 1)
+    ("moments", _moments_cfg(process="lmmm", alpha="1.7", H="1",
+                             stability_bounds=[1.45, 1.95]), "H range"),
+    ("path", _path_cfg(process="lmmm", alpha="1.7", H="0",
+                       stability_bounds=[1.45, 1.95]), "H range"),
+    # counts far beyond any memory stop before they allocate
+    ("path", _path_cfg(n_terms=10 ** 13), "n_terms"),
+    ("path", _path_cfg(n_terms=10 ** 400), "n_terms"),
+    ("path", _path_cfg(n_paths=10 ** 7, grid={"start": 0.0, "stop": 1.0,
+                                              "n": 10 ** 6}), "n_paths"),
+    ("moments", _moments_cfg(m_paths=10 ** 7, eps={
+        "start_exp": -10 ** 6, "stop_exp": -2 * 10 ** 6, "base": 1.00001}),
+     "m_paths"),
+    ("holder", _holder_cfg(m_paths=10 ** 13), "m_paths"),
 ]
 
 
@@ -180,6 +195,32 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     assert _run(tmp_path, cfg, command) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_level_family_length_is_capped(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_VALUES", 10)
+    assert len(cli._parse_levels({"start_exp": -4, "stop_exp": -13})) == 10
+    with pytest.raises(ValueError):
+        cli._parse_levels({"start_exp": -4, "stop_exp": -14})
+
+
+@pytest.mark.parametrize("cfg,calls", [
+    # alpha, b and H, each once on the 257-point domain grid
+    (dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
+          H="0.7+0.1*t", stability_bounds=[1.45, 1.95]), 771),
+    (LEVY_CFG, 514),
+])
+def test_build_spec_evaluates_each_function_once(monkeypatch, cfg, calls):
+    count = [0]
+    evaluate = expr.eval_expr
+
+    def counted(ast, t):
+        count[0] += 1
+        return evaluate(ast, t)
+
+    monkeypatch.setattr(expr, "eval_expr", counted)
+    build_spec(cfg)
+    assert count[0] == calls
 
 
 def test_lfsm_negative_exponent_path_is_finite(tmp_path):

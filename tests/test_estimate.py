@@ -129,6 +129,14 @@ class TestTheoreticalScaling:
         sigma = sigma_lmmm(1.7, 0.75)
         assert abs(intercept - math.log(sas_abs_moment(1.7, sigma, 0.8))) < 1e-12
 
+    def test_side_weights_enter_the_scale(self):
+        spec = make_process("lfsm-control", _fs("1.7"), _fs("1"), _fs("0.75"),
+                            (0.0, 1.0), 1.2, 1.95, b_plus=1.0, b_minus=0.0)
+        _, intercept = theoretical_scaling(spec, 0.3, 0.5)
+        sigma = sigma_lmmm(1.7, 0.75, (1.0, 0.0))
+        assert intercept == math.log(sas_abs_moment(1.7, sigma, 0.5))
+        assert abs(sigma / sigma_lmmm(1.7, 0.75) - 1.0) > 0.1
+
     def test_field_scale_enters_intercept(self):
         plain = theoretical_scaling(_levy_spec(b="1"), 0.4, 0.5)
         scaled = theoretical_scaling(_levy_spec(b="3"), 0.4, 0.5)
@@ -254,6 +262,12 @@ class TestConditionProbes:
         v = condition_probe(spec, "C9", 0.4, [2.0 ** -8]).values[0]
         want = kink_power_integral(1.7, 0.75 - 1.0 / 1.7)
         assert abs(v / want - 1.0) < 1e-10
+
+    def test_lfsm_c9_reads_the_side_weights(self):
+        spec = make_process("lfsm-control", _fs("1.7"), _fs("1"), _fs("0.75"),
+                            (0.0, 1.0), 1.2, 1.95, b_plus=1.0, b_minus=0.3)
+        v = condition_probe(spec, "C9", 0.4, [2.0 ** -8]).values[0]
+        assert v == kink_power_integral(1.7, 0.75 - 1.0 / 1.7, (1.0, 0.3))
 
     def test_lmmm_c11_against_direct_quadrature(self):
         from scipy.integrate import quad

@@ -7,8 +7,8 @@ from multistable.expr import FuncSpec
 from multistable.kernels import (_band_table, _bands_from_uniform,
                                  _lmmm_sample, _power_diff, _psi1_tail,
                                  kink_power_integral, levy_kernel,
-                                 lfsm_kernel, lmmm_kernel, make_process,
-                                 pair_integral, sigma_lmmm)
+                                 lmmm_kernel, make_process, pair_integral,
+                                 sigma_lmmm)
 
 import oracles
 
@@ -22,6 +22,10 @@ def _fs(src, domain=(0.0, 1.0)):
 def _levy_spec(alpha="1.5", domain=(0.0, 1.0), c=0.5, d=1.9):
     return make_process("levy", _fs(alpha, domain), _fs("1", domain),
                         None, domain, c, d)
+
+
+def _lfsm_kernel(alpha, H, b_plus, b_minus):
+    return lmmm_kernel(_fs(repr(alpha)), _fs(repr(H)), (b_plus, b_minus))[0]
 
 
 def _lmmm_spec(alpha="1.7", H="0.75", domain=(0.0, 1.0), c=1.2, d=1.9):
@@ -148,7 +152,7 @@ class TestLmmmKernel:
 
 class TestLfsmKernel:
     def test_reduces_to_two_sided_form(self):
-        sym = lfsm_kernel(1.7, 0.75, 1.0, 1.0)
+        sym = _lfsm_kernel(1.7, 0.75, 1.0, 1.0)
         ref, _ = lmmm_kernel(_fs("1.7"), _fs("0.75"))
         x = np.linspace(-20.0, 20.0, 1001)
         a = sym.evaluate(0.6, 0.6, x)
@@ -156,7 +160,7 @@ class TestLfsmKernel:
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
     def test_one_sided_limits(self):
-        ker = lfsm_kernel(1.7, 0.75, 1.0, 0.0)
+        ker = _lfsm_kernel(1.7, 0.75, 1.0, 0.0)
         k = 0.75 - 1.0 / 1.7
         t = 0.5
         x = np.array([-2.0, 0.2, 0.9])
@@ -166,11 +170,11 @@ class TestLfsmKernel:
     def test_negative_exponent_stays_finite(self):
         # kappa = 0.5 - 1/1.5 < 0: a zero base would give 0^kappa = inf
         x = np.array([-30.0, -2.0, -0.4, 0.1, 0.25, 0.7, 3.0, 40.0])
-        sym = lfsm_kernel(1.5, 0.5, 1.0, 1.0).evaluate(0.3, 0.3, x)
+        sym = _lfsm_kernel(1.5, 0.5, 1.0, 1.0).evaluate(0.3, 0.3, x)
         ref, _ = lmmm_kernel(_fs("1.5"), _fs("0.5"))
         assert np.all(np.isfinite(sym))
         assert np.array_equal(sym, ref.evaluate(0.3, 0.3, x))
-        one = lfsm_kernel(1.5, 0.5, 1.0, 0.0).evaluate(0.3, 0.3, x)
+        one = _lfsm_kernel(1.5, 0.5, 1.0, 0.0).evaluate(0.3, 0.3, x)
         k = 0.5 - 1.0 / 1.5
         left = x < 0.3
         want = np.where(left, np.abs(0.3 - x) ** k, 0.0) - np.where(
@@ -202,6 +206,35 @@ class TestKinkIntegral:
             sigma_lmmm(2.0, 0.5)
         with pytest.raises(ValueError):
             sigma_lmmm(1.5, 1.0)
+
+    @pytest.mark.parametrize("a,kappa", [(1.7, 0.75 - 1.0 / 1.7),
+                                         (2.0, 0.5 - 1.0 / 1.5), (1.5, 0.0)])
+    def test_unit_side_weights_are_bit_identical(self, a, kappa):
+        assert (kink_power_integral(a, kappa, (1.0, 1.0))
+                == kink_power_integral(a, kappa))
+
+    def test_equal_side_weights_scale_by_power(self):
+        a, kappa, c = 1.7, 0.75 - 1.0 / 1.7, 2.5
+        got = kink_power_integral(a, kappa, (c, c))
+        assert abs(got / (c ** a * kink_power_integral(a, kappa)) - 1.0) < 1e-9
+
+    def test_one_sided_weights_against_direct_quadrature(self):
+        # with b_minus = 0, f(1,x) = (1-x)^kappa on (0,1), 0 beyond x = 1,
+        # and (1+y)^kappa - y^kappa at x = -y < 0, integrated out to
+        # infinity without the far-field expansion
+        from scipy.integrate import quad
+        a, kappa = 1.7, 0.75 - 1.0 / 1.7
+
+        def g(y):
+            return (y ** kappa * math.expm1(kappa * math.log1p(1.0 / y))) ** a
+
+        want = 1.0 / (kappa * a + 1.0) + sum(
+            quad(g, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+            for lo, hi in ((0.0, 1.0), (1.0, np.inf)))
+        # the far field beyond |x| = 50 is the leading power only
+        for weights in ((1.0, 0.0), (0.0, 1.0)):  # mirror images
+            got = kink_power_integral(a, kappa, weights)
+            assert abs(got / want - 1.0) < 2e-4
 
 
 class TestPairIntegral:
@@ -259,6 +292,24 @@ class TestMakeProcess:
         # H < 1/alpha: pathwise regularity statement is out of scope there
         spec = _lmmm_spec(alpha="1.2", H="0.5", c=1.0, d=1.9)
         assert spec.warnings and "H - 1/alpha" in spec.warnings[0]
+
+    def test_lfsm_control_is_the_weighted_lmmm_kernel(self):
+        spec = make_process("lfsm-control", _fs("1.2"), _fs("1"), _fs("0.5"),
+                            (0.0, 1.0), 1.0, 1.9, b_plus=1.0, b_minus=0.3)
+        assert spec.kernel.side_weights == (1.0, 0.3)
+        assert spec.warnings and "H - 1/alpha" in spec.warnings[0]
+
+    def test_lfsm_control_needs_a_nonzero_side_weight(self):
+        with pytest.raises(ValueError, match="b_plus and b_minus"):
+            make_process("lfsm-control", _fs("1.7"), _fs("1"), _fs("0.75"),
+                         (0.0, 1.0), 1.2, 1.9, b_plus=0.0, b_minus=0.0)
+
+    @pytest.mark.parametrize("process", ["lmmm", "lfsm-control"])
+    @pytest.mark.parametrize("H", ["0", "1", "0.5+0.5*t"])
+    def test_H_must_lie_in_open_unit_interval(self, process, H):
+        with pytest.raises(ValueError, match="H range"):
+            make_process(process, _fs("1.7"), _fs("1"), _fs(H), (0.0, 1.0),
+                         1.2, 1.9)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown process"):

@@ -36,9 +36,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_traced_child_run(tmp_path, command):
-    cfg = CASES[command]
+def _traced_run(tmp_path, command, cfg):
+    """Layer metrics of one traced CLI run in a fresh interpreter."""
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     job = {"src": str(ROOT / "src"), "config": cfg, "trace": True,
            "argv": [command, "--config", str(tmp_path / "config.json"),
@@ -51,7 +50,12 @@ def test_traced_child_run(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["rc"] == 0
-    layers = result["layers"]
+    return result["layers"]
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_traced_child_run(tmp_path, command):
+    layers = _traced_run(tmp_path, command, CASES[command])
     for key in ("estimate.diagonal_samples.calls", "kernels.evaluate.calls",
                 "kernels.sample.calls", "expr.calls", "cli.calls"):
         assert layers[key] > 0, key
@@ -63,6 +67,16 @@ def test_traced_child_run(tmp_path, command):
         # levels (moments): the tracer's pair count is the grid's
         assert (layers["engine.tail_covariance.pairs"]
                 == layers["kernels.pair_integral.calls"] == 6)
+
+
+def test_traced_lfsm_control_path(tmp_path):
+    # lfsm-control is the lmmm kernel with side weights: the tracer wraps it
+    # through make_process like any other kernel
+    cfg = {**LMMM, "process": "lfsm-control", "alpha": "1.7", "H": "0.75",
+           "b_minus": 0.3, "grid": [0.25, 0.5, 0.75], "tail": "none"}
+    layers = _traced_run(tmp_path, "path", cfg)
+    assert layers["kernels.evaluate.calls"] > 0
+    assert layers["expr.calls"] > 0
 
 
 @pytest.mark.parametrize("command,cfg", [(w.command, w.config)
