@@ -26,7 +26,8 @@ import numpy as np
 
 from .engine import (_diagonal_values, _grid_scales, _substream,
                      build_environment, tail_covariance, tail_draw, tail_sqrt)
-from .kernels import ProcessSpec, kink_power_integral, sigma_lmmm
+from .kernels import (ProcessSpec, kappa_difference_integral,
+                      kink_power_integral, sigma_lmmm)
 from .stable import (QuadratureConfig, c_alpha, sas_abs_moment,
                      sin2_phase_integral)
 
@@ -401,7 +402,9 @@ def condition_probe(spec: ProcessSpec, condition: str, t: float,
 
     For the indicator kernel these are interval lengths and evaluate in
     closed form; the moving-average family reduces to kink power integrals
-    by scaling, except Cu15 which is quadrature.
+    by scaling, and Cu15 to the kernel at v = t+r under the two exponents
+    kappa(t+r) and kappa(t).  Both integrate the kernel formula over the
+    whole line, split at its kinks.
     """
     cond = condition.strip()
     if cond not in _CONDITIONS:
@@ -427,45 +430,18 @@ def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
         if cond == "C13":
             return t
         return 0.0  # Cu15: integrand identically zero
-    if cond == "Cu15":
-        return _cu15_quad(spec, t, r)
     k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
+    if cond == "Cu15":
+        # f(v,u,x) changes with u only through kappa(u)
+        return (kappa_difference_integral(t + r, k_tr, k_t,
+                                          spec.kernel.side_weights)
+                / (r * r))
     # x -> v x: v^(1+2 kappa) times a kink integral, v = 1 where normalised
     v, k, p = {"C9": (1.0, k_t, a), "C11": (t + r, k_t, 2.0),
                "C12": (t + r, k_tr, 2.0), "C13": (t, k_t, 2.0),
                "Cu14": (1.0, k_t, 2.0)}[cond]
     return (v ** (1.0 + 2.0 * k)
             * kink_power_integral(p, k, spec.kernel.side_weights))
-
-
-def _cu15_quad(spec: ProcessSpec, t: float, r: float) -> float:
-    """r^-2 int (f(v,v,x) - f(v,u,x))^2 dx at u = t, v = t+r: the kernel
-    changes only through kappa(u), so the integrand is a difference of two
-    kink profiles at the same time argument."""
-    from scipy.integrate import quad as _quad
-
-    x_max = 60.0  # quadrature range; the power-law far field beyond
-    v = t + r
-    kv, ku = spec.kappa(v), spec.kappa(t)
-
-    def g(x: float) -> float:
-        xx = np.array([x])
-        d = (spec.kernel.evaluate(v, v, xx) - spec.kernel.evaluate(v, t, xx))
-        return float(d[0] * d[0])
-
-    total = 0.0
-    for lo, hi in ((-x_max, 0.0), (0.0, 0.5 * v), (0.5 * v, v), (v, x_max)):
-        val, _ = _quad(g, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
-        total += val
-    # far field: f(v,.,x) ~ -kappa v sign(x) |x|^(kappa-1), weighted
-    # b_minus on the right and b_plus on the left
-    bp, bm = spec.kernel.side_weights or (1.0, 1.0)
-    for e, coef in ((2.0 * kv - 2.0, kv * kv),
-                    (kv + ku - 2.0, -2.0 * kv * ku),
-                    (2.0 * ku - 2.0, ku * ku)):
-        total += ((bp * bp + bm * bm) * v * v * coef * x_max ** (e + 1.0)
-                  / (-e - 1.0))
-    return total / (r * r)
 
 
 # ---------------------------------------------------------------------------

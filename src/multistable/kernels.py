@@ -9,8 +9,11 @@ Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
 the localisability probes also vary u.
 
 Also houses the kernel-specific integrals: the lmmm scale integral
-sigma_lmmm, its generalization kink_power_integral, and the measure-weighted
-pair integrals at two path times that drive truncation-tail covariances.
+sigma_lmmm, its generalization kink_power_integral, the two-exponent L^2
+distance kappa_difference_integral of the Cu15 condition, and the
+measure-weighted pair integrals at two path times that drive truncation-tail
+covariances.  The first three integrate the kernel formula itself over the
+whole line, split at its kinks, with no cut-off and no far-field expansion.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "lmmm_kernel",
     "sigma_lmmm",
     "kink_power_integral",
+    "kappa_difference_integral",
     "pair_integral",
 ]
 
@@ -237,16 +241,29 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
 # kernel integrals
 
 
+def _kink_quad(g: Callable[[np.ndarray], np.ndarray], v: float) -> float:
+    """int_R g(x) dx for an integrand built from _power_diff at time v.
+
+    Adaptive quadrature split at the kinks 0 and v, over (-inf, 0),
+    (0, v/2), (v/2, v) and (v, inf).  quad maps each infinite piece onto a
+    finite one, and _power_diff's expm1 branch keeps the integrand accurate
+    far from the kinks, so there is no cut-off and no far-field expansion.
+    """
+    total = 0.0
+    for lo, hi in ((-np.inf, 0.0), (0.0, 0.5 * v), (0.5 * v, v), (v, np.inf)):
+        val, _ = quad(lambda x: float(g(np.array([x]))[0]), lo, hi,
+                      epsabs=0.0, epsrel=1e-11, limit=400)
+        total += val
+    return total
+
+
 def kink_power_integral(a: float, kappa: float,
                         side_weights: Optional[tuple[float, float]] = None
                         ) -> float:
     """int_R |f(1,x)|^a dx for the kernel f(1,x) = |1-x|^kappa - |x|^kappa,
     each power weighted b_plus left of its kink and b_minus right of it.
-
-    Adaptive quadrature split at the kinks {0, 1}, plus the analytic
-    power-law tail beyond |x| = 50.  Requires (kappa-1)*a < -1.
+    Requires (kappa-1)*a < -1, so that the power-law tails converge.
     """
-    x_max = 50.0
     bp, bm = side_weights or (1.0, 1.0)
     if kappa == 0.0:
         # f(1,x) = b_plus - b_minus on (0, 1) and 0 elsewhere
@@ -254,19 +271,19 @@ def kink_power_integral(a: float, kappa: float,
     beta = -((kappa - 1.0) * a + 1.0)
     if beta <= 0.0:
         raise ValueError(f"tail diverges: (kappa-1)*a+1 = {-beta!r} >= 0")
+    return _kink_quad(
+        lambda x: np.abs(_power_diff(1.0, kappa, x, side_weights)) ** a, 1.0)
 
-    def g(x: float) -> float:
-        return abs((bp if x < 1.0 else bm) * abs(1.0 - x) ** kappa
-                   - (bp if x < 0.0 else bm) * abs(x) ** kappa) ** a
 
-    total = 0.0
-    for lo, hi in ((-x_max, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, x_max)):
-        val, _ = quad(g, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=400)
-        total += val
-    # far field: |f(1,x)| ~ b |kappa| |x|^(kappa-1), b = b_plus left of 0
-    total += ((abs(bp) ** a + abs(bm) ** a) * abs(kappa) ** a
-              * x_max ** (-beta) / beta)
-    return total
+def kappa_difference_integral(v: float, k1: float, k2: float,
+                              side_weights: Optional[tuple[float, float]]
+                              = None) -> float:
+    """int_R (f_k1(v,x) - f_k2(v,x))^2 dx: the kernel at one time v under
+    two exponents, which is how the field changes with u (the Cu15
+    condition)."""
+    return _kink_quad(
+        lambda x: (_power_diff(v, k1, x, side_weights)
+                   - _power_diff(v, k2, x, side_weights)) ** 2, v)
 
 
 def sigma_lmmm(alpha_t: float, H_t: float,
@@ -284,22 +301,27 @@ def sigma_lmmm(alpha_t: float, H_t: float,
 _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 
 
-def _band_pair_integral(fA: Callable[[np.ndarray], np.ndarray],
-                        fB: Callable[[np.ndarray], np.ndarray],
-                        interior_kinks: list[float],
-                        far_coef: float, far_exp: float,
-                        sbar: float) -> float:
-    """sum_j (pi^2 j^2 / 3)^(sbar-1) int_{band j} fA fB dx.
+def pair_integral(spec: ProcessSpec, tA: float, tB: float,
+                  sbar: float) -> float:
+    """R_AB = E_mhat[ w(V)^sbar f(tA,tA,V) f(tB,tB,V) ] at two path times.
 
-    Band 1 is integrated adaptively with explicit kink points (fixed-node
-    rules leave errors that survive the A-B cancellation in covariance
-    differences); bands 2..j0 use vectorized GL-8; beyond j0 the integrand is
-    far_coef * |x|^far_exp per band pair, summed by Hurwitz zeta.
+    Since w is the reciprocal density of mhat, this equals the Lebesgue
+    integral of w^(sbar-1) fA fB, summed band by band with band weight
+    (pi^2 j^2 / 3)^(sbar-1).  Band 1 is integrated adaptively with the kinks
+    as break points (fixed-node rules leave errors that survive the A-B
+    cancellation in covariance differences); bands 2..4096 use vectorized
+    GL-8; beyond them fA fB follows its far-field power law, summed by
+    Hurwitz zeta.  The zeta-weighted sum of these drives the covariance of
+    the series tail beyond the truncation index.
     """
+    if spec.tag == "levy":
+        return min(tA, tB)
     j0 = 4096
-    pts = sorted({k for k in interior_kinks if -1.0 < k < 1.0})
+    fA = lambda x: spec.kernel.evaluate(tA, tA, x)
+    fB = lambda x: spec.kernel.evaluate(tB, tB, x)
+    pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
     v1, _ = quad(lambda x: float(fA(np.array([x]))[0] * fB(np.array([x]))[0]),
-                 -1.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-12,
+                 -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
                  limit=600)
     total = _PI2_3 ** (sbar - 1.0) * v1
     js = np.arange(2, j0 + 1, dtype=float)
@@ -309,29 +331,13 @@ def _band_pair_integral(fA: Callable[[np.ndarray], np.ndarray],
         xs = lo[:, None] + 0.5 * (1.0 + _GLX8[None, :])
         ws = 0.5 * _GLW8[None, :]
         total += np.sum(wgt * np.sum(ws * fA(xs) * fB(xs), axis=1))
-    p = 2.0 * (sbar - 1.0) + far_exp
-    if p >= -1.0:
-        raise ValueError(f"band tail diverges: exponent {p!r} >= -1")
-    total += far_coef * _PI2_3 ** (sbar - 1.0) * zeta(-p, j0 + 1.0)
-    return total
-
-
-def pair_integral(spec: ProcessSpec, tA: float, tB: float,
-                  sbar: float) -> float:
-    """R_AB = E_mhat[ w(V)^sbar f(tA,tA,V) f(tB,tB,V) ] at two path times.
-
-    Since w is the reciprocal density of mhat, this equals the Lebesgue
-    integral of w^(sbar-1) fA fB.  The zeta-weighted sum of these drives the
-    covariance of the series tail beyond the truncation index.
-    """
-    if spec.tag == "levy":
-        return min(tA, tB)
-    kA, kB = spec.kappa(tA), spec.kappa(tB)
-    fA = lambda x: spec.kernel.evaluate(tA, tA, x)
-    fB = lambda x: spec.kernel.evaluate(tB, tB, x)
     # far field: f ~ -b_minus*kappa*t*x^(kappa-1) as x -> +inf and
     # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
+    kA, kB = spec.kappa(tA), spec.kappa(tB)
     bp, bm = spec.kernel.side_weights or (1.0, 1.0)
-    far_coef = (bp * bp + bm * bm) * kA * kB * tA * tB
-    far_exp = kA + kB - 2.0
-    return _band_pair_integral(fA, fB, [0.0, tA, tB], far_coef, far_exp, sbar)
+    p = 2.0 * (sbar - 1.0) + (kA + kB - 2.0)
+    if p >= -1.0:
+        raise ValueError(f"band tail diverges: exponent {p!r} >= -1")
+    total += ((bp * bp + bm * bm) * kA * kB * tA * tB
+              * _PI2_3 ** (sbar - 1.0) * zeta(-p, j0 + 1.0))
+    return total

@@ -4,7 +4,8 @@ Deliberately free of imports from the package under test, so a wrong
 production formula cannot vouch for itself.  Each oracle follows a different
 route than the code it checks: direct oscillatory quadrature instead of
 gamma-function closed forms, plain segment sums instead of the dip-aware
-integrator, stratified Monte Carlo instead of kink-split quadrature.
+integrator, stratified Monte Carlo and Fourier closed forms instead of
+kink-split quadrature.
 """
 
 import math
@@ -78,6 +79,23 @@ def kink_integral_mc(alpha: float, H: float, n: int = 400000,
         w = g(side * x) * x ** (beta + 1.0) / (beta * x_core ** beta)
         total += float(np.mean(w))
     return total ** (1.0 / alpha)
+
+
+def moving_average_l2(t: float, k1: float, k2: float, b_plus: float = 1.0,
+                      b_minus: float = 1.0) -> float:
+    """int f_k1(t,x) f_k2(t,x) dx over the real line, where
+    f_k(t,x) = b(t-x)|t-x|^k - b(-x)|x|^k with b = b_plus on positive and
+    b_minus on negative arguments, in closed form.
+
+    Parseval on the Fourier transforms of the one-sided powers, which are
+    Gamma-function factors (Samorodnitsky & Taqqu 1994, section 7.4),
+    instead of quadrature.  Requires |k1|, |k2| < 1/2.
+    """
+    s = k1 + k2
+    sides = ((b_plus ** 2 + b_minus ** 2) * math.cos(math.pi * (k1 - k2) / 2)
+             - 2.0 * b_plus * b_minus * math.cos(math.pi * s / 2))
+    return (math.gamma(k1 + 1.0) * math.gamma(k2 + 1.0) * t ** (1.0 + s)
+            * sides / (math.gamma(2.0 + s) * math.cos(math.pi * s / 2)))
 
 
 def cauchy_cdf(x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ from multistable.expr import FuncSpec
 from multistable.kernels import kink_power_integral, make_process, sigma_lmmm
 from multistable.stable import sas_abs_moment
 
+import oracles
+
 
 def _fs(src, domain=(0.0, 1.0)):
     return FuncSpec.parse(src, domain)
@@ -285,6 +287,27 @@ class TestConditionProbes:
         # the reference tail keeps only the leading power, so allow its
         # O(t/x_max) correction in the comparison
         assert abs(got / (core + tail) - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.3), (0.2, 1.0)])
+    @pytest.mark.parametrize("r", [2.0 ** -3, 2.0 ** -6])
+    def test_moving_average_against_closed_form(self, weights, r):
+        # every probe of the moving-average family is an L^2 integral of
+        # the kernel, so the Fourier closed form pins all but C9
+        spec = make_process("lfsm-control", _fs("1.7"), _fs("1"),
+                            _fs("0.7+0.1*t"), (0.0, 1.0), 1.2, 1.95,
+                            b_plus=weights[0], b_minus=weights[1])
+        t = 0.4
+        k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
+        l2 = lambda v, k1, k2: oracles.moving_average_l2(v, k1, k2, *weights)
+        want = {"C11": l2(t + r, k_t, k_t),
+                "C12": l2(t + r, k_tr, k_tr),
+                "C13": l2(t, k_t, k_t),
+                "Cu14": l2(1.0, k_t, k_t),
+                "Cu15": (l2(t + r, k_tr, k_tr) - 2.0 * l2(t + r, k_tr, k_t)
+                         + l2(t + r, k_t, k_t)) / r ** 2}
+        for cond, value in want.items():
+            got = condition_probe(spec, cond, t, [r]).values[0]
+            assert abs(got / value - 1.0) < 1e-9, cond
 
     def test_lmmm_cu15_vanishes_for_constant_parameters(self):
         # u enters the kernel only through kappa(u); constant alpha and H
