@@ -279,6 +279,12 @@ def check_config(cfg: dict, command: str) -> dict:
             if not lo <= x <= hi:
                 raise ConfigError(f"config key {key!r} puts time {float(x)!r} "
                                   f"outside the domain [{lo!r}, {hi!r}]")
+    if run.get("tail") == "gauss" and spec.H is not None and max(
+            1.0 / a + h for a, h in zip(spec.alpha.grid_values,
+                                        spec.H.grid_values)) >= 1.5:
+        raise ConfigError("config key 'tail' is \"gauss\", but 1/alpha + H "
+                          "reaches 3/2 on the domain, where the series terms "
+                          "have infinite variance")
     if command == "moments" and not run["eta"] < spec.c:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")

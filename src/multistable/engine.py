@@ -127,12 +127,12 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     """Covariance of the discarded series tail across the path times.
 
     Conditionally on the Poisson points beyond the truncation index, each
-    tail sum is a sign-symmetric sum of ~Gamma_i^(-1/alpha) factors; summing
-    the per-index second moments gives
+    tail sum is a sign-symmetric sum of Gamma_i^(-s) w(V_i)^s f(t,t,V_i)
+    with s = 1/alpha(t); summing the per-index second moments gives
 
         Cov(T_A, T_B) = pref_A pref_B zeta(s_A + s_B, N+1) R_AB
 
-    with R_AB the measure-weighted kernel pair integral.  The Hurwitz zeta
+    with R_AB the pair integral at exponent s_A + s_B.  The Hurwitz zeta
     uses E[Gamma_i^(-c)] ~ i^(-c) for the high arrival indices.
     """
     ts = [float(t) for t in grid]
@@ -141,8 +141,7 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     cov = np.empty((G, G))
     for i in range(G):
         for j in range(i, G):
-            sbar = 0.5 * (ss[i] + ss[j])
-            r = pair_integral(spec, ts[i], ts[j], sbar)
+            r = pair_integral(spec, ts[i], ts[j], ss[i] + ss[j])
             cov[i, j] = cov[j, i] = (prefs[i] * prefs[j]
                                      * zeta(ss[i] + ss[j], n_terms + 1.0) * r)
     return cov

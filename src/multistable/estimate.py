@@ -276,7 +276,10 @@ def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
 def _holder_theory(spec: ProcessSpec, t: float,
                    alpha_regularity: Optional[float]):
     if spec.tag != "levy":
-        return spec.H(t), "upper bound H(t)"
+        h = spec.H(t)
+        if h - 1.0 / spec.alpha(t) < 0.0:
+            return None, "H(t) - 1/alpha(t) < 0: no Holder bound is asserted"
+        return h, "upper bound H(t)"
     a = spec.alpha(t)
     if a < 1.0:
         if alpha_regularity is None:
@@ -402,9 +405,7 @@ def condition_probe(spec: ProcessSpec, condition: str, t: float,
 
     For the indicator kernel these are interval lengths and evaluate in
     closed form; the moving-average family reduces to kink power integrals
-    by scaling, and Cu15 to the kernel at v = t+r under the two exponents
-    kappa(t+r) and kappa(t).  Both integrate the kernel formula over the
-    whole line, split at its kinks.
+    by scaling, and Cu15 to the kernel at t+r under kappa(t+r) and kappa(t).
     """
     cond = condition.strip()
     if cond not in _CONDITIONS:
@@ -431,11 +432,9 @@ def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
             return t
         return 0.0  # Cu15: integrand identically zero
     k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
-    if cond == "Cu15":
-        # f(v,u,x) changes with u only through kappa(u)
-        return (kappa_difference_integral(t + r, k_tr, k_t,
-                                          spec.kernel.side_weights)
-                / (r * r))
+    if cond == "Cu15":  # f(v,u,x) depends on u only through kappa(u)
+        return kappa_difference_integral(
+            t + r, k_tr, k_t, spec.kernel.side_weights) / (r * r)
     # x -> v x: v^(1+2 kappa) times a kink integral, v = 1 where normalised
     v, k, p = {"C9": (1.0, k_t, a), "C11": (t + r, k_t, 2.0),
                "C12": (t + r, k_tr, 2.0), "C13": (t, k_t, 2.0),

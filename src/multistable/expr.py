@@ -161,11 +161,20 @@ _BP_MUL = 20
 _BP_NEG = 25
 _BP_POW = 30
 
+_MAX_DEPTH = 100  # evaluation and printing recurse over the AST
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels",
+                             self.peek().offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -182,6 +191,8 @@ class _Parser:
         self.advance()
 
     def parse(self, min_bp: int = 0) -> ExprAst:
+        entry = self.depth
+        self.deeper()
         node = self.parse_prefix()
         while True:
             tok = self.peek()
@@ -192,9 +203,11 @@ class _Parser:
             if bp < min_bp:
                 break
             self.advance()
+            self.deeper()  # node moves one level down the tree
             # right associativity for ^ only
             right = self.parse(bp if tok.text == "^" else bp + 1)
             node = BinOp(tok.text, node, right)
+        self.depth = entry
         return node
 
     def parse_prefix(self) -> ExprAst:

@@ -9,15 +9,14 @@ Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
 the localisability probes also vary u.
 
 Also houses the kernel-specific integrals: the lmmm scale integral
-sigma_lmmm, its generalization kink_power_integral, the two-exponent L^2
-distance kappa_difference_integral of the Cu15 condition, and the
-measure-weighted pair integrals at two path times that drive truncation-tail
-covariances.  The first three integrate the kernel formula itself over the
-whole line, split at its kinks, with no cut-off and no far-field expansion.
+sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
+kappa_difference_integral, and the measure-weighted pair integrals at two
+path times that drive truncation-tail covariances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,15 +45,12 @@ _6_PI2 = 6.0 / math.pi ** 2
 # cumulative band law F(j) = (6/pi^2) sum_{i<=j} i^-2; the table covers all
 # but ~9.3e-6 of the mass, the trigamma-asymptotic bisection handles the rest
 _BAND_TABLE_N = 1 << 16
-_band_cum: Optional[np.ndarray] = None
 
 
+@functools.cache
 def _band_table() -> np.ndarray:
-    global _band_cum
-    if _band_cum is None:
-        js = np.arange(1, _BAND_TABLE_N + 1, dtype=float)
-        _band_cum = np.cumsum(_6_PI2 / (js * js))
-    return _band_cum
+    js = np.arange(1, _BAND_TABLE_N + 1, dtype=float)
+    return np.cumsum(_6_PI2 / (js * js))
 
 
 def _psi1_tail(x: float) -> float:
@@ -242,19 +238,14 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
 
 
 def _kink_quad(g: Callable[[np.ndarray], np.ndarray], v: float) -> float:
-    """int_R g(x) dx for an integrand built from _power_diff at time v.
-
-    Adaptive quadrature split at the kinks 0 and v, over (-inf, 0),
-    (0, v/2), (v/2, v) and (v, inf).  quad maps each infinite piece onto a
-    finite one, and _power_diff's expm1 branch keeps the integrand accurate
-    far from the kinks, so there is no cut-off and no far-field expansion.
-    """
-    total = 0.0
-    for lo, hi in ((-np.inf, 0.0), (0.0, 0.5 * v), (0.5 * v, v), (v, np.inf)):
-        val, _ = quad(lambda x: float(g(np.array([x]))[0]), lo, hi,
-                      epsabs=0.0, epsrel=1e-11, limit=400)
-        total += val
-    return total
+    """int_R g(x) dx for g built from _power_diff at time v, split at the
+    kinks 0 and v.  quad maps the infinite pieces onto finite ones, and the
+    expm1 branch of _power_diff keeps g accurate far out, so there is no
+    cut-off and no far-field expansion."""
+    return sum(quad(lambda x: float(g(np.array([x]))[0]), lo, hi,
+                    epsabs=0.0, epsrel=1e-11, limit=400)[0]
+               for lo, hi in ((-np.inf, 0.0), (0.0, 0.5 * v), (0.5 * v, v),
+                              (v, np.inf)))
 
 
 def kink_power_integral(a: float, kappa: float,
@@ -276,11 +267,9 @@ def kink_power_integral(a: float, kappa: float,
 
 
 def kappa_difference_integral(v: float, k1: float, k2: float,
-                              side_weights: Optional[tuple[float, float]]
-                              = None) -> float:
-    """int_R (f_k1(v,x) - f_k2(v,x))^2 dx: the kernel at one time v under
-    two exponents, which is how the field changes with u (the Cu15
-    condition)."""
+                              side_weights=None) -> float:
+    """int_R (f_k1(v,x) - f_k2(v,x))^2 dx: the kernel at time v under two
+    exponents kappa(u), with the side weights of kink_power_integral."""
     return _kink_quad(
         lambda x: (_power_diff(v, k1, x, side_weights)
                    - _power_diff(v, k2, x, side_weights)) ** 2, v)
@@ -302,17 +291,15 @@ _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 
 
 def pair_integral(spec: ProcessSpec, tA: float, tB: float,
-                  sbar: float) -> float:
-    """R_AB = E_mhat[ w(V)^sbar f(tA,tA,V) f(tB,tB,V) ] at two path times.
+                  s_sum: float) -> float:
+    """R_AB = E_mhat[ w(V)^s_sum f(tA,tA,V) f(tB,tB,V) ] at two path times,
+    s_sum = 1/alpha(tA) + 1/alpha(tB), as each series term carries its own
+    w^(1/alpha): the Lebesgue integral of w^(s_sum-1) fA fB, band by band.
 
-    Since w is the reciprocal density of mhat, this equals the Lebesgue
-    integral of w^(sbar-1) fA fB, summed band by band with band weight
-    (pi^2 j^2 / 3)^(sbar-1).  Band 1 is integrated adaptively with the kinks
-    as break points (fixed-node rules leave errors that survive the A-B
-    cancellation in covariance differences); bands 2..4096 use vectorized
-    GL-8; beyond them fA fB follows its far-field power law, summed by
-    Hurwitz zeta.  The zeta-weighted sum of these drives the covariance of
-    the series tail beyond the truncation index.
+    Band 1 is adaptive with the kinks as break points (fixed-node rules
+    leave errors that survive the A-B cancellation in covariance
+    differences), bands 2..4096 GL-8, and the far field beyond them a
+    Hurwitz zeta sum.
     """
     if spec.tag == "levy":
         return min(tA, tB)
@@ -320,12 +307,11 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     fA = lambda x: spec.kernel.evaluate(tA, tA, x)
     fB = lambda x: spec.kernel.evaluate(tB, tB, x)
     pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
-    v1, _ = quad(lambda x: float(fA(np.array([x]))[0] * fB(np.array([x]))[0]),
-                 -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
-                 limit=600)
-    total = _PI2_3 ** (sbar - 1.0) * v1
+    v1 = quad(lambda x: float(fA(np.array([x]))[0] * fB(np.array([x]))[0]),
+              -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12, limit=600)[0]
+    total = _PI2_3 ** (s_sum - 1.0) * v1
     js = np.arange(2, j0 + 1, dtype=float)
-    wgt = (_PI2_3 * js ** 2) ** (sbar - 1.0)
+    wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
     for sign in (1.0, -1.0):
         lo = np.where(sign > 0, js - 1.0, -js)
         xs = lo[:, None] + 0.5 * (1.0 + _GLX8[None, :])
@@ -335,9 +321,9 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
     kA, kB = spec.kappa(tA), spec.kappa(tB)
     bp, bm = spec.kernel.side_weights or (1.0, 1.0)
-    p = 2.0 * (sbar - 1.0) + (kA + kB - 2.0)
+    p = 2.0 * (s_sum - 1.0) + (kA + kB - 2.0)
     if p >= -1.0:
-        raise ValueError(f"band tail diverges: exponent {p!r} >= -1")
-    total += ((bp * bp + bm * bm) * kA * kB * tA * tB
-              * _PI2_3 ** (sbar - 1.0) * zeta(-p, j0 + 1.0))
-    return total
+        raise ValueError(f"band tail diverges: exponent {float(p)!r} >= -1 "
+                         "(finite only while 1/alpha + H < 3/2)")
+    return total + ((bp * bp + bm * bm) * kA * kB * tA * tB
+                    * _PI2_3 ** (s_sum - 1.0) * zeta(-p, j0 + 1.0))

@@ -5,7 +5,9 @@ spelled out in the assertion, and reports one [PASS]/[FAIL] line that pytest
 collects into a terminal summary section.  Seeds are pinned: every quantity
 below is a deterministic function of them, so a pass here is reproducible
 bit-for-bit.  Budgets: the two moment-scaling fits and the worker-determinism
-rerun dominate, a few minutes total on one core.
+rerun dominate, a few minutes total on one core.  Every test here carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest
+of the suite alone.
 """
 
 import functools
@@ -28,6 +30,8 @@ from multistable.kernels import make_process, sigma_lmmm
 from multistable.stable import c_alpha, cms_sample, sin2_integral
 
 import oracles
+
+pytestmark = pytest.mark.acceptance
 
 
 def _fs(src):
@@ -100,6 +104,38 @@ def test_stable_law_oracle():
     _report("stable-law oracle", ok,
             f"worst KS {worst_stat:.4f} at alpha={worst_alpha} "
             f"(1% critical {crit:.4f}), {elapsed:.0f}s (budget 120s)")
+
+
+@pytest.mark.parametrize("case,process,weights,n_terms", [
+    (0, "lmmm", (1.0, 1.0), 50), (1, "lmmm", (1.0, 1.0), 500),
+    (2, "lfsm-control", (0.5, 0.5), 50), (3, "lfsm-control", (0.5, 0.5), 500)])
+def test_moving_average_stable_law_oracle(case, process, weights, n_terms):
+    # with constant alpha and H the diagonal is linear fractional stable
+    # motion, H-self-similar with stationary increments (Samorodnitsky &
+    # Taqqu 1994, section 7.4): Y(1) ~ SaS(sigma) and
+    # Y(t+r) - Y(t) ~ SaS(sigma r^H).  At 50 and 500 terms the Gaussian
+    # tail completion carries real weight, so this checks its covariance.
+    started = time.monotonic()
+    a, H, t, r, seed = 1.7, 0.75, 0.5, 2.0 ** -4, 3
+    spec = make_process(process, _fs(repr(a)), _fs("1"), _fs(repr(H)),
+                        (0.0, 1.0), 1.45, 1.95, b_plus=weights[0],
+                        b_minus=weights[1])
+    sigma = sigma_lmmm(a, H, weights)
+    vals = diagonal_samples(spec, [t, t + r, 1.0], 20000, n_terms, seed)
+    checks = {"Y(1)": (vals[:, 2], sigma),
+              "Y(t+r)-Y(t)": (vals[:, 1] - vals[:, 0], sigma * r ** H)}
+    detail = []
+    ok = True
+    for k, (name, (sample, scale)) in enumerate(checks.items()):
+        ref = cms_sample(a, scale, _substream(seed, 2 * case + k,
+                                              "reference"), 20000)
+        ks = ks_two_sample(sample, ref)
+        ok = ok and ks.statistic < ks.crit_01
+        detail.append(f"{name} KS {ks.statistic:.4f}")
+    elapsed = time.monotonic() - started
+    _report(f"moving-average stable-law oracle ({process}, N={n_terms})", ok,
+            f"{', '.join(detail)} (1% critical {ks.crit_01:.4f}), "
+            f"{elapsed:.0f}s")
 
 
 def test_moment_scaling_jump_field():

@@ -187,6 +187,13 @@ BAD_CONFIGS = [
         "start_exp": -10 ** 6, "stop_exp": -2 * 10 ** 6, "base": 1.00001}),
      "m_paths"),
     ("holder", _holder_cfg(m_paths=10 ** 13), "m_paths"),
+    # the Gaussian tail needs series terms of finite variance
+    ("moments", _moments_cfg(process="lmmm", alpha="1.2", H="0.75",
+                             stability_bounds=[1.1, 1.3]), "tail"),
+    # nesting beyond the parser's depth cap, not a RecursionError
+    ("path", _path_cfg(alpha="(" * 3000 + "1.5" + ")" * 3000), "alpha"),
+    ("path", _path_cfg(alpha="-" * 3000 + "1.5"), "alpha"),
+    ("path", _path_cfg(alpha="1.5" + "^1" * 3000), "alpha"),
 ]
 
 
@@ -432,6 +439,18 @@ class TestHolderCommand:
         assert _run(tmp_path, cfg, "holder") == 0
         lines = (tmp_path / "out" / "holder.csv").read_text().splitlines()
         assert lines[1].split(",")[4] == "nan"
+
+    def test_theory_nan_when_kappa_is_negative(self, tmp_path):
+        # H - 1/alpha < 0: the manifest warns and no target is asserted
+        cfg = dict(LEVY_CFG, process="lmmm", alpha="1.2", H="0.5",
+                   stability_bounds=[1.1, 1.3], t=0.5,
+                   r={"start_exp": -4, "stop_exp": -9}, m_paths=10,
+                   n_terms=300)
+        assert _run(tmp_path, cfg, "holder") == 0
+        lines = (tmp_path / "out" / "holder.csv").read_text().splitlines()
+        assert lines[1].split(",")[4] == "nan"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert any("not asserted" in w for w in manifest["warnings"])
 
     def test_multiple_times(self, tmp_path):
         cfg = dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8],

@@ -209,6 +209,14 @@ class TestHolderPathwise:
         assert est.theory == pytest.approx(0.75)
         assert "upper" in est.theory_note
 
+    def test_lmmm_no_theory_when_kappa_is_negative(self):
+        spec = make_process("lmmm", _fs("1.2"), _fs("1"), _fs("0.5"),
+                            (0.0, 1.0), 1.1, 1.3)
+        est = holder_pathwise(spec, 0.5, [2.0 ** -k for k in range(4, 9)],
+                              3, 150, seed=3)
+        assert est.theory is None
+        assert "1/alpha" in est.theory_note
+
 
 class TestIncrementCf:
     def test_unit_at_origin_and_even(self):

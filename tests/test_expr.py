@@ -96,6 +96,24 @@ class TestParseErrors:
             parse_expr("1+$")
         assert exc.value.offset == 2
 
+    @pytest.mark.parametrize("src,offset", [
+        ("(" * 3000 + "1" + ")" * 3000, 100),
+        ("-" * 3000 + "1", 100),
+        ("1.5" + "^1" * 3000, 102),
+        ("1" + "+1" * 3000, 198),
+    ])
+    def test_nesting_depth_is_capped(self, src, offset):
+        # evaluation and printing recurse over the tree, so a deep one
+        # must stop here instead of in a RecursionError
+        with pytest.raises(ParseError, match="deeper") as exc:
+            parse_expr(src)
+        assert exc.value.offset == offset
+
+    def test_nesting_below_the_cap_parses(self):
+        src = "1" + "+1" * 40 + "+" + "(" * 45 + "t" + ")" * 45
+        assert to_source(parse_expr(src)) and eval_expr(parse_expr(src),
+                                                        2.0) == 43.0
+
 
 class TestEvalErrors:
     def test_division_by_zero(self):

@@ -252,13 +252,13 @@ class TestPairIntegral:
     def test_against_direct_monte_carlo(self):
         spec = _lmmm_spec(alpha="1.7", H="0.75")
         tA, tB = 0.4, 0.9
-        sbar = 1.0 / 1.7 + 1.0 / 1.7
+        s_sum = 1.0 / 1.7 + 1.0 / 1.7
         rng = np.random.default_rng(8)
         x, w = _lmmm_sample(rng, 400000)
         fa = spec.kernel.evaluate(tA, tA, x)
         fb = spec.kernel.evaluate(tB, tB, x)
-        samples = w ** sbar * fa * fb
-        got = pair_integral(spec, tA, tB, sbar)
+        samples = w ** s_sum * fa * fb
+        got = pair_integral(spec, tA, tB, s_sum)
         se = np.std(samples) / math.sqrt(samples.shape[0])
         assert abs(np.mean(samples) - got) < 4.0 * se
 
