@@ -12,8 +12,8 @@ from .estimate import (ECFReport, HolderEstimate, KSResult, MomentEstimate,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample, levy_increment_cf,
                        small_ball_probe, theoretical_scaling)
-from .expr import (EvalError, ExprError, FuncSpec, ParseError, RangeReport,
-                   eval_expr, parse_expr, to_source, validate_range)
+from .expr import (EvalError, ExprError, FuncSpec, ParseError, eval_expr,
+                   parse_expr, to_source)
 from .kernels import (Kernel, MeasureSpec, ProcessSpec, kink_power_integral,
                       levy_kernel, lmmm_kernel, make_process,
                       pair_integral, sigma_lmmm)
@@ -23,8 +23,8 @@ from .stable import (QuadratureConfig, c_alpha, cms_sample, gamma_fn,
 __all__ = [
     "__version__",
     # expressions
-    "parse_expr", "eval_expr", "to_source", "validate_range",
-    "FuncSpec", "RangeReport", "ExprError", "ParseError", "EvalError",
+    "parse_expr", "eval_expr", "to_source", "FuncSpec", "ExprError",
+    "ParseError", "EvalError",
     # stable-law numerics
     "QuadratureConfig", "c_alpha", "sin2_integral", "sin2_phase_integral",
     "sas_abs_moment", "gamma_fn", "cms_sample",

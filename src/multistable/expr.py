@@ -8,14 +8,19 @@ Grammar, in decreasing binding power:
 
     ``^`` (right associative)  >  unary ``-``  >  ``* /``  >  binary ``+ -``
 
-so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  The function set is
-closed: sin, cos, exp, log, abs, sqrt, min, max, pow.  ``pi`` and ``e`` are
-the only named constants and ``t`` the only variable.
+so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  One table holds
+the binary operators (``_BINARY``) and one the closed function set
+(``_FUNCTIONS``); the tokenizer, the parser, evaluation and printing all
+read them.  ``pi`` and ``e`` are the only named constants and ``t`` the only
+variable.  Digits and names are ASCII.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -34,8 +39,6 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "to_source",
-    "validate_range",
-    "RangeReport",
 ]
 
 
@@ -72,7 +75,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # a key of _BINARY
     left: "ExprAst"
     right: "ExprAst"
 
@@ -85,16 +88,78 @@ class Call:
 
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
+# ---------------------------------------------------------------------------
+# grammar tables: every operator and function, with its evaluation
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _power(base: float, exponent: float) -> float:
+    # is_integer is False for an infinite or NaN exponent as well
+    if base < 0.0 and not exponent.is_integer():
+        raise EvalError(
+            f"fractional power of negative base: {base!r}^{exponent!r}")
+    if base == 0.0 and exponent < 0.0:
+        raise EvalError("zero raised to a negative power")
+    try:
+        return math.pow(base, exponent)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"power failed: {base!r}^{exponent!r}: {exc}") from exc
+
+
+def _trig(fn):
+    def guarded(x: float) -> float:
+        try:
+            return fn(x)
+        except ValueError as exc:  # an infinite argument
+            raise EvalError(f"{fn.__name__} of {x!r}") from exc
+    return guarded
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise EvalError(f"exp overflow at {x!r}") from exc
+
+
+def _log(x: float) -> float:
+    if x <= 0.0:  # a NaN argument passes through, as in math.log
+        raise EvalError(f"log of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise EvalError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+# operator -> (binding power, right associative, function)
+_BINARY = {
+    "+": (10, False, operator.add),
+    "-": (10, False, operator.sub),
+    "*": (20, False, operator.mul),
+    "/": (20, False, _divide),
+    "^": (30, True, _power),
+}
+_BP_NEG = 25  # unary minus: below ^, above * and /
+
+# name -> (arity, function)
 _FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "abs": 1,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
-    "pow": 2,
+    "sin": (1, _trig(math.sin)),
+    "cos": (1, _trig(math.cos)),
+    "exp": (1, _exp),
+    "log": (1, _log),
+    "abs": (1, abs),
+    "sqrt": (1, _sqrt),
+    "min": (2, min),
+    "max": (2, max),
+    "pow": (2, _power),
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -103,63 +168,31 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# digits and names are ASCII; whitespace is any Unicode space
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<op>[{re.escape(''.join(_BINARY))}(),])"
+    r"|(?P<bad>\S))")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    offset: int
-    value: float = 0.0
+
+_Token = namedtuple("_Token", "kind text offset")  # kind: num|name|op|end
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or source[j] == "."
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(_Token("num", source[i:j], i, float(source[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens = []
+    # every character matches but trailing whitespace
+    for m in _TOKEN.finditer(source):
+        kind, offset = m.lastgroup, m.start(m.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", offset)
+        tokens.append(_Token(kind, m[kind], offset))
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Pratt parser
-
-_BP_ADD = 10
-_BP_MUL = 20
-_BP_NEG = 25
-_BP_POW = 30
 
 _MAX_DEPTH = 100  # evaluation and printing recurse over the AST
 
@@ -186,7 +219,7 @@ class _Parser:
 
     def expect_op(self, text: str) -> None:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
+        if tok.text != text:  # only an op token has the text of an op
             raise ParseError(f"expected {text!r}", tok.offset)
         self.advance()
 
@@ -196,16 +229,12 @@ class _Parser:
         node = self.parse_prefix()
         while True:
             tok = self.peek()
-            if tok.kind != "op" or tok.text not in "+-*/^":
+            if tok.text not in _BINARY or _BINARY[tok.text][0] < min_bp:
                 break
-            bp = {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL,
-                  "/": _BP_MUL, "^": _BP_POW}[tok.text]
-            if bp < min_bp:
-                break
+            bp, right_assoc, _ = _BINARY[tok.text]
             self.advance()
             self.deeper()  # node moves one level down the tree
-            # right associativity for ^ only
-            right = self.parse(bp if tok.text == "^" else bp + 1)
+            right = self.parse(bp if right_assoc else bp + 1)
             node = BinOp(tok.text, node, right)
         self.depth = entry
         return node
@@ -213,7 +242,7 @@ class _Parser:
     def parse_prefix(self) -> ExprAst:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(tok.value)
+            return Num(float(tok.text))
         if tok.kind == "name":
             if tok.text == "t":
                 return Var()
@@ -222,25 +251,24 @@ class _Parser:
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")
                 args = [self.parse(0)]
-                while self.peek().kind == "op" and self.peek().text == ",":
+                while self.peek().text == ",":
                     self.advance()
                     args.append(self.parse(0))
                 self.expect_op(")")
-                if len(args) != _FUNCTIONS[tok.text]:
-                    raise ParseError(
-                        f"{tok.text} takes {_FUNCTIONS[tok.text]} argument(s), "
-                        f"got {len(args)}", tok.offset)
+                arity = _FUNCTIONS[tok.text][0]
+                if len(args) != arity:
+                    raise ParseError(f"{tok.text} takes {arity} argument(s), "
+                                     f"got {len(args)}", tok.offset)
                 return Call(tok.text, tuple(args))
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op":
-            if tok.text == "-":
-                return Neg(self.parse(_BP_NEG))
-            if tok.text == "+":
-                return self.parse(_BP_NEG)
-            if tok.text == "(":
-                node = self.parse(0)
-                self.expect_op(")")
-                return node
+        if tok.text == "-":
+            return Neg(self.parse(_BP_NEG))
+        if tok.text == "+":
+            return self.parse(_BP_NEG)
+        if tok.text == "(":
+            node = self.parse(0)
+            self.expect_op(")")
+            return node
         raise ParseError("expected a value", tok.offset)
 
 
@@ -260,18 +288,6 @@ def parse_expr(source: str) -> ExprAst:
 # evaluation
 
 
-def _power(base: float, exponent: float) -> float:
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise EvalError(
-            f"fractional power of negative base: {base!r}^{exponent!r}")
-    if base == 0.0 and exponent < 0.0:
-        raise EvalError("zero raised to a negative power")
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"power failed: {base!r}^{exponent!r}: {exc}") from exc
-
-
 def eval_expr(ast: ExprAst, t: float) -> float:
     """Evaluate ``ast`` at ``t``; any non-finite value raises :class:`EvalError`."""
     value = _eval(ast, float(t))
@@ -288,49 +304,8 @@ def _eval(ast: ExprAst, t: float) -> float:
     if isinstance(ast, Neg):
         return -_eval(ast.child, t)
     if isinstance(ast, BinOp):
-        a = _eval(ast.left, t)
-        b = _eval(ast.right, t)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        return _power(a, b)
-    # Call
-    args = [_eval(child, t) for child in ast.args]
-    name = ast.name
-    try:
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-    except ValueError as exc:  # an infinite argument
-        raise EvalError(f"{name} of {args[0]!r}") from exc
-    if name == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError as exc:
-            raise EvalError(f"exp overflow at {args[0]!r}") from exc
-    if name == "log":
-        if args[0] <= 0.0:
-            raise EvalError(f"log of non-positive value {args[0]!r}")
-        return math.log(args[0])
-    if name == "abs":
-        return abs(args[0])
-    if name == "sqrt":
-        if args[0] < 0.0:
-            raise EvalError(f"sqrt of negative value {args[0]!r}")
-        return math.sqrt(args[0])
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    return _power(args[0], args[1])  # pow
+        return _BINARY[ast.op][2](_eval(ast.left, t), _eval(ast.right, t))
+    return _FUNCTIONS[ast.name][1](*[_eval(child, t) for child in ast.args])
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +313,7 @@ def _eval(ast: ExprAst, t: float) -> float:
 
 def _prec(ast: ExprAst) -> int:
     if isinstance(ast, BinOp):
-        return {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL,
-                "/": _BP_MUL, "^": _BP_POW}[ast.op]
+        return _BINARY[ast.op][0]
     if isinstance(ast, Neg):
         return _BP_NEG
     if isinstance(ast, Num) and (ast.value < 0.0 or math.copysign(1.0, ast.value) < 0):
@@ -360,12 +334,13 @@ def to_source(ast: ExprAst) -> str:
         return f"-{inner}"
     if isinstance(ast, BinOp):
         lhs, rhs = to_source(ast.left), to_source(ast.right)
-        p = _prec(ast)
-        # left operand: parenthesize below own precedence (right-assoc ^ also
-        # needs parens on an equal-precedence left child)
-        if _prec(ast.left) < p or (ast.op == "^" and _prec(ast.left) == p):
+        p, right_assoc, _ = _BINARY[ast.op]
+        # parenthesize an operand below the operator's own precedence, and
+        # one of equal precedence on the side the operator does not group to
+        if _prec(ast.left) < p or (right_assoc and _prec(ast.left) == p):
             lhs = f"({lhs})"
-        if _prec(ast.right) < p or (ast.op != "^" and _prec(ast.right) == p):
+        if _prec(ast.right) < p or (not right_assoc
+                                    and _prec(ast.right) == p):
             rhs = f"({rhs})"
         return f"{lhs}{ast.op}{rhs}"
     return f"{ast.name}({','.join(to_source(a) for a in ast.args)})"
@@ -408,17 +383,3 @@ class FuncSpec:
                 raise EvalError(f"evaluation failed at grid point t={t!r}: "
                                 f"{exc}") from exc
         return tuple(values)
-
-
-@dataclass(frozen=True)
-class RangeReport:
-    ok: bool
-    vmin: float
-    vmax: float
-
-
-def validate_range(fs: FuncSpec, lo: float, hi: float) -> RangeReport:
-    """Check the values of ``fs`` on its domain grid against [lo, hi];
-    raises :class:`EvalError` naming the grid point where evaluation fails."""
-    vmin, vmax = min(fs.grid_values), max(fs.grid_values)
-    return RangeReport(ok=(lo <= vmin and vmax <= hi), vmin=vmin, vmax=vmax)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from .expr import FuncSpec, validate_range
+from .expr import FuncSpec
 
 __all__ = [
     "MeasureSpec",
@@ -201,11 +201,10 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
     if not (0.0 < c <= d < 2.0):
         raise ValueError(f"stability bounds must satisfy 0 < c <= d < 2, "
                          f"got c={c!r} d={d!r}")
-    report = validate_range(alpha, c, d)
-    if not report.ok:
-        raise ValueError(
-            f"alpha range [{report.vmin:.6g}, {report.vmax:.6g}] leaves "
-            f"[{c:.6g}, {d:.6g}]")
+    amin, amax = min(alpha.grid_values), max(alpha.grid_values)
+    if not c <= amin <= amax <= d:
+        raise ValueError(f"alpha range [{amin:.6g}, {amax:.6g}] leaves "
+                         f"[{c:.6g}, {d:.6g}]")
     warnings: list[str] = []
     if tag == "levy":
         kernel, measure = levy_kernel()

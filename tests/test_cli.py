@@ -194,6 +194,12 @@ BAD_CONFIGS = [
     ("path", _path_cfg(alpha="(" * 3000 + "1.5" + ")" * 3000), "alpha"),
     ("path", _path_cfg(alpha="-" * 3000 + "1.5"), "alpha"),
     ("path", _path_cfg(alpha="1.5" + "^1" * 3000), "alpha"),
+    # a non-ASCII digit, and a non-finite exponent of a negative base
+    ("path", _path_cfg(alpha="1.5+\u00b2"), "'alpha'"),
+    ("path", _path_cfg(alpha="1.5+0*(0-1)^1e400"), "'alpha'"),
+    # the moment scaling takes log|b(t)|
+    ("moments", _moments_cfg(b="t-0.3"), "'b'"),
+    ("moments", _moments_cfg(b="0"), "'b'"),
 ]
 
 
@@ -493,6 +499,7 @@ class TestVerifyCommand:
         assert _run(tmp_path, cfg, "verify") == 4
         console = capsys.readouterr().out
         assert "[FAIL] marginal-ks" in console
+        assert "[FAIL] lmmm-marginal-ks" in console
         assert "[PASS] quadrature-identity" in console
 
 

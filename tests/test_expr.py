@@ -1,12 +1,14 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multistable import expr
 from multistable.expr import (BinOp, Call, EvalError, FuncSpec, Neg, Num,
                               ParseError, Var, eval_expr, parse_expr,
-                              to_source, validate_range)
+                              to_source)
 
 
 def ev(src, t=0.0):
@@ -96,6 +98,12 @@ class TestParseErrors:
             parse_expr("1+$")
         assert exc.value.offset == 2
 
+    def test_digits_are_ascii(self):
+        # str.isdigit accepts a superscript two, which float() rejects
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse_expr("1.5+\u00b2")
+        assert exc.value.offset == 4
+
     @pytest.mark.parametrize("src,offset", [
         ("(" * 3000 + "1" + ")" * 3000, 100),
         ("-" * 3000 + "1", 100),
@@ -137,6 +145,13 @@ class TestEvalErrors:
     def test_zero_to_negative_power(self):
         with pytest.raises(EvalError):
             ev("0^(0-1)")
+
+    @pytest.mark.parametrize("src", ["1.5+0*(0-1)^1e400",
+                                     "(0-1)^(1e400-1e400)"])
+    def test_non_finite_power_of_negative_base(self, src):
+        # an infinite or NaN exponent is not an integer
+        with pytest.raises(EvalError, match="fractional power"):
+            ev(src)
 
     def test_integer_power_of_negative_base_is_fine(self):
         assert ev("(0-2)^3") == -8.0
@@ -210,21 +225,15 @@ class TestFuncSpec:
         with pytest.raises(ValueError):
             FuncSpec.parse("t", (1.0, 0.0))
 
-
-class TestDerivativeAndRange:
-    def test_validate_range_accepts(self):
-        fs = FuncSpec.parse("1.5+0.3*sin(2*pi*t)", (0.0, 1.0))
-        rep = validate_range(fs, 1.1, 1.9)
-        assert rep.ok
-        assert 1.2 <= rep.vmin <= rep.vmax <= 1.8 + 1e-12
-
-    def test_validate_range_rejects(self):
-        fs = FuncSpec.parse("2*t", (0.0, 1.0))
-        rep = validate_range(fs, 0.5, 1.5)
-        assert not rep.ok
-
-    def test_validate_range_reports_grid_point_on_error(self):
+    def test_grid_values_name_the_failing_point(self):
         fs = FuncSpec.parse("1/t", (0.0, 1.0))
         with pytest.raises(EvalError) as exc:
-            validate_range(fs, 0.0, 10.0)
+            fs.grid_values
         assert "t=" in str(exc.value)
+
+
+def test_readme_lists_every_function():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(ln for ln in readme.read_text().splitlines()
+                if ln.startswith("Functions: "))
+    assert set(line.split("`")[1::2]) == set(expr._FUNCTIONS)

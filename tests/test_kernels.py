@@ -83,6 +83,28 @@ class TestBandSampling:
             j = int(_bands_from_uniform(np.array([u]))[0])
             assert cdf(j - 1) <= u < cdf(j)
 
+    def test_overflow_bands_match_exact_trigamma_inversion(self):
+        # beyond the table, j from 65,537 to about 1e9 against a bisection
+        # on the exact survival (6/pi^2) psi_1(j+1), psi_1 from mpmath
+        mpmath = pytest.importorskip("mpmath")
+        table = _band_table()
+        u = np.concatenate([[np.nextafter(table[-1], 1.0)],
+                            1.0 - _PI2_6 / np.geomspace(7e4, 1e9, 16)])
+        assert np.all(u > table[-1])
+        got = _bands_from_uniform(u)
+        assert got[0] == table.shape[0] + 1 and got[-1] > 0.99e9
+        with mpmath.workdps(30):
+            for ui, j in zip(u, got):
+                target = mpmath.mpf(1.0 - ui)  # the float the sampler uses
+                lo, hi = table.shape[0], 2 ** 40
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if 6 / mpmath.pi ** 2 * mpmath.psi(1, mid + 1) <= target:
+                        hi = mid
+                    else:
+                        lo = mid
+                assert j == hi
+
     def test_deep_tail_band_is_huge_but_finite(self):
         # past the table the CDF increments underflow double spacing, so
         # minimality is checked against the analytic tail 1-F(j) ~ 6/(pi^2 j)
@@ -272,6 +294,15 @@ class TestMakeProcess:
     def test_alpha_leaving_bounds_rejected(self):
         with pytest.raises(ValueError, match="alpha range"):
             _levy_spec(alpha="1.5+0.6*sin(2*pi*t)", c=1.0, d=1.9)
+
+    def test_alpha_range_inside_bounds_accepted(self):
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)", c=1.1, d=1.9)
+        values = spec.alpha.grid_values
+        assert 1.2 <= min(values) <= max(values) <= 1.8 + 1e-12
+
+    def test_alpha_range_is_checked_on_the_grid(self):
+        with pytest.raises(ValueError, match=r"alpha range \[0, 2\]"):
+            _levy_spec(alpha="2*t", c=0.5, d=1.5)
 
     def test_bad_stability_bounds_rejected(self):
         with pytest.raises(ValueError, match="stability bounds"):
