@@ -279,18 +279,29 @@ def check_config(cfg: dict, command: str) -> dict:
             if not lo <= x <= hi:
                 raise ConfigError(f"config key {key!r} puts time {float(x)!r} "
                                   f"outside the domain [{lo!r}, {hi!r}]")
-    if run.get("tail") == "gauss" and spec.H is not None and max(
-            1.0 / a + h for a, h in zip(spec.alpha.grid_values,
-                                        spec.H.grid_values)) >= 1.5:
-        raise ConfigError("config key 'tail' is \"gauss\", but 1/alpha + H "
-                          "reaches 3/2 on the domain, where the series terms "
-                          "have infinite variance")
+    # the model functions at the run's own times, besides the domain grid
+    at = sorted({float(x) for xs in times.values() for x in xs})
+    for key, f in (("alpha", spec.alpha), ("b", spec.b), ("H", spec.H)):
+        for x in at if f is not None else ():
+            try:
+                f(x)
+            except ExprError as exc:
+                raise ConfigError(f"config key {key!r} fails at time {x!r}: "
+                                  f"{exc}") from None
+    if run.get("tail") == "gauss" and spec.H is not None and any(
+            1.0 / a + h >= 1.5 or h - 1.0 / a <= -0.5
+            for a, h in zip(spec.alpha.grid_values, spec.H.grid_values)):
+        raise ConfigError("config key 'tail' is \"gauss\", but the series "
+                          "terms have infinite variance where 1/alpha + H "
+                          "reaches 3/2 or H - 1/alpha falls to -1/2 on the "
+                          "domain")
     if command == "moments" and not run["eta"] < spec.c:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")
-    if command == "moments" and spec.b(run["t"]) == 0.0:
-        raise ConfigError(f"config key 'b' vanishes at t = {run['t']!r}, "
-                          "where the moment scaling takes log|b(t)|")
+    for t in times.get("t", ()):
+        if spec.b(t) == 0.0:
+            raise ConfigError(f"config key 'b' vanishes at t = {t!r}, whose "
+                              "scaling law takes log|b(t)|")
     return run
 
 

@@ -78,8 +78,8 @@ def build_environment(spec: ProcessSpec, n_terms: int, seed: int,
         _substream(seed, index, "arrivals").standard_exponential(n_terms))
     points, weights = spec.measure.sample(_substream(seed, index, "points"),
                                           n_terms)
-    signs = np.where(_substream(seed, index, "signs").random(n_terms) < 0.5,
-                     -1.0, 1.0)
+    signs = 1.0 - 2.0 * (_substream(seed, index, "signs").random(n_terms)
+                         < 0.5)
     return PoissonEnvironment(arrivals=arrivals, points=points, signs=signs,
                               weights=weights)
 

@@ -45,12 +45,22 @@ _6_PI2 = 6.0 / math.pi ** 2
 # cumulative band law F(j) = (6/pi^2) sum_{i<=j} i^-2; the table covers all
 # but ~9.3e-6 of the mass, the trigamma-asymptotic bisection handles the rest
 _BAND_TABLE_N = 1 << 16
+_GUIDE_N = 1 << 12  # cells [k, k+1) / 2^12 of the guide table
 
 
 @functools.cache
 def _band_table() -> np.ndarray:
     js = np.arange(1, _BAND_TABLE_N + 1, dtype=float)
     return np.cumsum(_6_PI2 / (js * js))
+
+
+@functools.cache
+def _band_guide() -> np.ndarray:
+    """Band of each guide cell, or 0 where the bands at its edges differ
+    (the indexed search of Chen & Asau 1974)."""
+    edges = np.searchsorted(_band_table(), np.arange(_GUIDE_N + 1) / _GUIDE_N,
+                            side="right") + 1.0
+    return np.where(edges[:-1] == edges[1:], edges[:-1], 0.0)
 
 
 def _psi1_tail(x: float) -> float:
@@ -62,25 +72,27 @@ def _psi1_tail(x: float) -> float:
 
 
 def _bands_from_uniform(u: np.ndarray) -> np.ndarray:
-    table = _band_table()
-    j = np.searchsorted(table, u, side="right") + 1
-    overflow = j > _BAND_TABLE_N
-    if np.any(overflow):
-        j = j.astype(np.int64)
-        for idx in np.nonzero(overflow)[0]:
-            # smallest j with survival (6/pi^2) psi_1(j+1) <= 1-u
-            target = 1.0 - u[idx]
-            lo = _BAND_TABLE_N
-            hi = max(int(2.0 * _6_PI2 / target), lo + 2)
-            while _6_PI2 * _psi1_tail(hi + 1.0) > target:
-                hi *= 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _6_PI2 * _psi1_tail(mid + 1.0) <= target:
-                    hi = mid
-                else:
-                    lo = mid
-            j[idx] = hi
+    """Band j of each uniform u in [0, 1), as floats: the smallest j with
+    u < F(j).  j is nondecreasing in u and u * 2^12 is exact, so equal
+    bands at a cell's edges fix it; the other ~2.4% search the table."""
+    j = _band_guide()[(u * _GUIDE_N).astype(np.intp)]
+    straddle = np.flatnonzero(j == 0.0)
+    j[straddle] = np.searchsorted(_band_table(), u[straddle],
+                                  side="right") + 1.0
+    for idx in np.flatnonzero(j > _BAND_TABLE_N):
+        # smallest j with survival (6/pi^2) psi_1(j+1) <= 1-u
+        target = 1.0 - u[idx]
+        lo = _BAND_TABLE_N
+        hi = max(int(2.0 * _6_PI2 / target), lo + 2)
+        while _6_PI2 * _psi1_tail(hi + 1.0) > target:
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _6_PI2 * _psi1_tail(mid + 1.0) <= target:
+                hi = mid
+            else:
+                lo = mid
+        j[idx] = hi
     return j
 
 
@@ -119,9 +131,10 @@ def levy_kernel() -> tuple[Kernel, MeasureSpec]:
 
 def _lmmm_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     u = rng.random((n, 2))
-    j = _bands_from_uniform(u[:, 0]).astype(float)
+    j = _bands_from_uniform(u[:, 0])
     pos = u[:, 1]
-    x = np.where(pos < 0.5, -j + 2.0 * pos, (j - 1.0) + (2.0 * pos - 1.0))
+    pos2 = 2.0 * pos
+    x = np.where(pos < 0.5, -j + pos2, (j - 1.0) + (pos2 - 1.0))
     return x, _PI2_3 * j * j
 
 
@@ -131,22 +144,24 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     the kinks where the direct difference cancels catastrophically.  Side
     weights (b_plus, b_minus) scale each power by b_plus left of its kink
     and by b_minus right of it."""
+    shape, x = np.shape(x), np.ravel(x)
     ax = np.abs(x)
-    far = ax > 8.0 * (1.0 + abs(t))
+    far = np.flatnonzero(ax > 8.0 * (1.0 + abs(t)))
     if weights is None:
         out = np.abs(t - x) ** k - ax ** k
     else:
         bp, bm = weights
         out = (np.where(x < t, bp, bm) * np.abs(t - x) ** k
                - np.where(x < 0.0, bp, bm) * ax ** k)
-    if np.any(far):
-        xf = ax[far]
+    if far.size:
+        xf, sf = ax[far], np.sign(x[far])
         # |t-x| - |x| is exactly -t*sign(x) once |x| > |t|, and both powers
         # lie on the same side of their kinks
-        out[far] = xf ** k * np.expm1(k * np.log1p(-t * np.sign(x[far]) / xf))
+        vf = xf ** k * np.expm1(k * np.log1p(-t * sf / xf))
         if weights is not None:
-            out[far] *= np.where(x[far] > 0.0, bm, bp)
-    return out
+            vf *= np.where(sf > 0.0, bm, bp)
+        out[far] = vf
+    return out.reshape(shape)
 
 
 def lmmm_kernel(alpha: FuncSpec, H: FuncSpec,
@@ -302,6 +317,10 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     """
     if spec.tag == "levy":
         return min(tA, tB)
+    kA, kB = spec.kappa(tA), spec.kappa(tB)
+    if kA + kB <= -1.0:  # |x|^(kA+kB) is not integrable at x = 0
+        raise ValueError(f"pair integral diverges at the kinks: kappa sum "
+                         f"{kA + kB!r} <= -1")
     j0 = 4096
     fA = lambda x: spec.kernel.evaluate(tA, tA, x)
     fB = lambda x: spec.kernel.evaluate(tB, tB, x)
@@ -318,7 +337,6 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
         total += np.sum(wgt * np.sum(ws * fA(xs) * fB(xs), axis=1))
     # far field: f ~ -b_minus*kappa*t*x^(kappa-1) as x -> +inf and
     # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
-    kA, kB = spec.kappa(tA), spec.kappa(tB)
     bp, bm = spec.kernel.side_weights or (1.0, 1.0)
     p = 2.0 * (s_sum - 1.0) + (kA + kB - 2.0)
     if p >= -1.0:

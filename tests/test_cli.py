@@ -200,6 +200,14 @@ BAD_CONFIGS = [
     # the moment scaling takes log|b(t)|
     ("moments", _moments_cfg(b="t-0.3"), "'b'"),
     ("moments", _moments_cfg(b="0"), "'b'"),
+    # the Gaussian tail's variance diverges at the kink where kappa <= -1/2
+    ("moments", _moments_cfg(process="lmmm", alpha="1.1", H="0.1",
+                             stability_bounds=[1.05, 1.15], m_paths=50),
+     "tail"),
+    # a model function that fails at a run's own time, off the domain grid
+    ("moments", _moments_cfg(b="1/(t-0.3)"), "'b'"),
+    # holder, like moments, needs b(t) != 0
+    ("holder", _holder_cfg(b="0"), "'b'"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -75,6 +76,68 @@ class TestEnvironment:
     def test_n_terms_validated(self):
         with pytest.raises(ValueError):
             build_environment(_levy_spec(), 0, seed=1)
+
+
+# sha256 of the float64 bytes of one environment and its path at (seed 7,
+# index 5), 20,000 terms, on the grid 0, 1/8, ..., 1; recorded with the
+# plain binary-search band sampler.  Index 5 draws two lmmm bands past the
+# 65,536-entry table.  A change that moves any drawn number or path value
+# fails here; arrivals and signs do not depend on the process.
+_GOLDEN_SHARED = {
+    "arrivals": ("aa604031643ef629c5251fe7edc0ef77"
+                 "871d87fcb7ee7aec64acc3d05939737d"),
+    "signs": ("44c37a99dba38d15a53e56fe1a9c92c5"
+              "a314e6c4bceff53ba268435cc3d32959"),
+}
+_GOLDEN = {
+    "levy": {
+        "points": ("ce86aaa5f024bdd95ae500cde18ec7af"
+                   "dc68178cb1b538f5a68a8f4352f5080f"),
+        "weights": ("c4d6b891e36e9ffc6f27915a86785de5"
+                    "03d347aa165ec12b4ec410b5f74928cf"),
+        "path": ("6c5df99b2844ef015b9576849feec8ad"
+                 "cbc08338282a7fd50e616d77375790f6"),
+    },
+    "lmmm": {
+        "points": ("7bfc3b53a20a2343ee3382d09f5d14e4"
+                   "a42bc32749b469925f8ce6412d7c13de"),
+        "weights": ("eee75554834dacbf1c473f8375b48fd8"
+                    "8be78a9c396ee19c8ae4ae30022ead80"),
+        "path": ("e0ebf8f4ae53656dbfd886a46cc868f0"
+                 "6443495cbc9b8b6d0839d8b804ff7ee9"),
+    },
+    "lfsm-control": {
+        "points": ("7bfc3b53a20a2343ee3382d09f5d14e4"
+                   "a42bc32749b469925f8ce6412d7c13de"),
+        "weights": ("eee75554834dacbf1c473f8375b48fd8"
+                    "8be78a9c396ee19c8ae4ae30022ead80"),
+        "path": ("748aa33830ded1a4ddd471468e9587bc"
+                 "35c38a82aca700d8c565c86523f25b96"),
+    },
+}
+
+
+def _golden_spec(tag):
+    if tag == "levy":
+        return make_process("levy", _fs("1.5+0.3*sin(2*pi*t)"), _fs("1"),
+                            None, (0.0, 1.0), 1.1, 1.9)
+    if tag == "lmmm":
+        return make_process("lmmm", _fs("1.7+0.2*sin(2*pi*t)"), _fs("1"),
+                            _fs("0.7+0.1*t"), (0.0, 1.0), 1.45, 1.95)
+    return make_process("lfsm-control", _fs("1.5"), _fs("1"), _fs("0.5"),
+                        (0.0, 1.0), 1.2, 1.8, b_plus=1.0, b_minus=0.3)
+
+
+@pytest.mark.parametrize("tag", sorted(_GOLDEN))
+def test_environment_and_path_bytes_are_pinned(tag):
+    spec = _golden_spec(tag)
+    env = build_environment(spec, 20000, seed=7, index=5)
+    path = eval_diagonal_path(env, spec, np.linspace(0.0, 1.0, 9))
+    arrays = {"arrivals": env.arrivals, "signs": env.signs,
+              "points": env.points, "weights": env.weights, "path": path}
+    got = {k: hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes())
+           .hexdigest() for k, v in arrays.items()}
+    assert got == {**_GOLDEN_SHARED, **_GOLDEN[tag]}
 
 
 class TestFieldEvaluation:

@@ -114,6 +114,75 @@ class TestBandSampling:
         assert float(j) < 2.0 ** 53
 
 
+class TestGuideTableIsExact:
+    """The guide-table lookup against the plain binary search of the whole
+    table.  Bands past the table go on to the trigamma bisection (pinned
+    against mpmath above); the plain search marks each of them N + 1."""
+
+    def _assert_matches_plain_search(self, u):
+        u = np.asarray(u, dtype=float)
+        assert np.all((0.0 <= u) & (u < 1.0))
+        got = _bands_from_uniform(u)
+        assert got.dtype == np.float64
+        table = _band_table()
+        plain = np.searchsorted(table, u, side="right") + 1
+        assert np.array_equal(np.minimum(got, table.shape[0] + 1), plain)
+
+    def test_seeded_uniforms(self):
+        self._assert_matches_plain_search(
+            np.random.default_rng(20120101).random(10 ** 6))
+
+    def test_every_table_entry_and_its_neighbours(self):
+        table = _band_table()
+        self._assert_matches_plain_search(np.concatenate(
+            [np.nextafter(table, 0.0), table, np.nextafter(table, 1.0)]))
+
+    def test_every_cell_edge_and_its_neighbours(self):
+        edges = np.arange(1 << 12) / (1 << 12)
+        self._assert_matches_plain_search(np.concatenate(
+            [edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+             [np.nextafter(1.0, 0.0)]]))
+
+    def test_uniforms_past_the_table(self):
+        table = _band_table()
+        u = np.linspace(np.nextafter(table[-1], 1.0), 1.0 - 2.0 ** -40, 200)
+        self._assert_matches_plain_search(u)
+        assert np.all(_bands_from_uniform(u) > table.shape[0])
+
+
+def _power_diff_masked(t, k, x, weights=None):
+    """_power_diff with boolean masks for the far field: the reference
+    whose every per-element operation the index form must repeat."""
+    ax = np.abs(x)
+    far = ax > 8.0 * (1.0 + abs(t))
+    if weights is None:
+        out = np.abs(t - x) ** k - ax ** k
+    else:
+        bp, bm = weights
+        out = (np.where(x < t, bp, bm) * np.abs(t - x) ** k
+               - np.where(x < 0.0, bp, bm) * ax ** k)
+    if np.any(far):
+        xf = ax[far]
+        out[far] = xf ** k * np.expm1(k * np.log1p(-t * np.sign(x[far]) / xf))
+        if weights is not None:
+            out[far] *= np.where(x[far] > 0.0, bm, bp)
+    return out
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 0.3)])
+@pytest.mark.parametrize("t,k", [(0.0, 0.2), (0.3, 0.11), (1.0, 0.45),
+                                 (0.7, -0.3), (-0.4, 0.6)])
+def test_power_diff_is_bit_identical_to_masked_form(t, k, weights):
+    x, _ = _lmmm_sample(np.random.default_rng(31), 49994)
+    x = np.concatenate([x, [0.0, t, -t, 8.0 * (1.0 + abs(t)), 1e15, -1e15]])
+    assert np.count_nonzero(np.abs(x) > 8.0 * (1.0 + abs(t))) > 1000
+    # the pair integrals pass 2-D node arrays
+    for xs in (x, x.reshape(-1, 10)):
+        got = _power_diff(t, k, xs, weights)
+        want = _power_diff_masked(t, k, xs, weights)
+        assert got.shape == xs.shape and got.tobytes() == want.tobytes()
+
+
 class TestLevyKernel:
     def test_indicator_closed_at_both_ends(self):
         kernel, _ = levy_kernel()
@@ -288,6 +357,14 @@ class TestPairIntegral:
         spec = _lmmm_spec()
         v = pair_integral(spec, 0.5, 0.5, 2.0 / 1.7)
         assert v > 0.0
+
+    def test_divergent_kink_rejected(self):
+        # kappa = 0.1 - 1/1.1 = -0.81: |t-x|^(2 kappa) is not integrable
+        spec = _lmmm_spec(alpha="1.1", H="0.1", c=1.05, d=1.15)
+        with pytest.raises(ValueError, match="kinks"):
+            pair_integral(spec, 0.3, 0.3, 2.0 / 1.1)
+        with pytest.raises(ValueError, match="kinks"):
+            pair_integral(spec, 0.3, 0.7, 2.0 / 1.1)
 
 
 class TestMakeProcess:
