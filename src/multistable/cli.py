@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning
+from scipy.special import chdtr, chdtrc, ndtri
 
 from . import __version__
 from .engine import _substream, truncation_diagnostic
@@ -42,7 +43,8 @@ from .estimate import (diagonal_samples, ecf_compare,
                        holder_pathwise, ks_two_sample)
 from .expr import ExprError, FuncSpec
 from .kernels import ProcessSpec, make_process, sigma_lmmm
-from .stable import QuadratureConfig, c_alpha, cms_sample, sin2_integral
+from .stable import (QuadratureConfig, c_alpha, cms_sample,
+                     sin2_phase_integral)
 
 __all__ = ["main", "cmd_path", "cmd_moments", "cmd_holder", "cmd_verify",
            "build_spec", "check_config", "SCHEMA", "ConfigError"]
@@ -65,6 +67,12 @@ def _write_csv(path: Path, header: Sequence[str],
                      (str(c) if isinstance(c, (int, np.integer)) else _fmt(c))
                      for c in row]
             fh.write(",".join(cells) + "\n")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +303,11 @@ def check_config(cfg: dict, command: str) -> dict:
                           "terms have infinite variance where 1/alpha + H "
                           "reaches 3/2 or H - 1/alpha falls to -1/2 on the "
                           "domain")
+    c_max = 2.0 / min(spec.alpha.grid_values)
+    if run.get("tail") == "gauss" and run["n_terms"] + 1 <= c_max:
+        raise ConfigError(f"config key 'n_terms' must exceed 2/alpha - 1 = "
+                          f"{c_max - 1.0!r} on the domain for the Gaussian "
+                          f"tail's variance to be finite")
     if command == "moments" and not run["eta"] < spec.c:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")
@@ -320,9 +333,7 @@ def _manifest(out: Path, command: str, cfg: dict, run: dict,
         "warnings": list(getattr(run.get("spec"), "warnings", [])),
         "outputs": outputs,
     }
-    with open(out / "manifest.json", "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "manifest.json", doc)
 
 
 def _derived_at(spec: ProcessSpec, t: float) -> dict:
@@ -482,52 +493,64 @@ def cmd_holder(cfg: dict, run: dict, args) -> int:
 
 
 def _verify_checks(run: dict, args) -> list[tuple]:
-    checks: list[tuple[str, float, float, bool]] = []
+    """(name, value, threshold, false-alarm rate, sample sizes, function
+    tested) per check; a check passes while value <= threshold."""
     quad = None
     if run["fault_loose_quad"]:
         quad = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-2,
                                 max_subdivisions=1, half_periods=8)
-    scale = run["fault_c_alpha_scale"]
+    scale, seed = run["fault_c_alpha_scale"], run["seed"]
 
-    # closed-form consistency of the numeric half-period integral
-    worst = 0.0
-    for eta in np.linspace(0.05, 1.95, 20):
-        lhs = c_alpha(float(eta)) * eta * sin2_integral(float(eta), quad)
-        worst = max(worst, abs(lhs / 2.0 ** (eta - 1.0) - 1.0))
-    checks.append(("quadrature-identity", worst, 1e-8, worst <= 1e-8))
+    # single-exponent phase integrals against q^eta 2^(eta-1) / C_eta
+    worst = max(abs(sin2_phase_integral(0.0, 1.0 / eta, q, 1.0 / eta, quad)
+                    * c_alpha(eta) / (q ** eta * 2.0 ** (eta - 1.0)) - 1.0)
+                for eta in np.linspace(0.05, 1.95, 20) for q in (0.3, 1, 2.5))
+    checks = [("quadrature-identity", worst, 1e-12, 0.0, {"eta": 20, "q": 3},
+               "stable.sin2_phase_integral")]
 
     # constant-parameter marginals Y(1) against a direct stable sampler:
     # SaS(1) for levy, SaS(sigma_lmmm) for lmmm; the scale fault scales b
-    m = run["verify_m"]
+    m, n = run["verify_m"], run["verify_n_terms"]
     for k, (name, model, a, ref_scale) in enumerate((
             ("marginal-ks", {"process": "levy"}, 1.3, 1.0),
             ("lmmm-marginal-ks", {"process": "lmmm", "H": "0.75"}, 1.7,
              sigma_lmmm(1.7, 0.75)))):
         spec = build_spec({**model, "alpha": f"{a!r}", "b": f"{scale!r}",
                            "stability_bounds": [a - 0.05, a + 0.05]})
-        vals = diagonal_samples(spec, [1.0], m, run["verify_n_terms"],
-                                run["seed"], tail="gauss",
+        vals = diagonal_samples(spec, [1.0], m, n, seed, tail="gauss",
                                 workers=args.workers, index_offset=k * m)
-        ref = cms_sample(a, ref_scale, _substream(run["seed"], k,
-                                                  "reference"), m)
+        ref = cms_sample(a, ref_scale, _substream(seed, k, "reference"), m)
         ks = ks_two_sample(vals[:, 0], ref)
-        checks.append((name, ks.statistic, ks.crit_01,
-                       ks.statistic <= ks.crit_01))
+        checks.append((name, ks.statistic, ks.crit_01, 0.01,
+                       {"m": m, "n_terms": n}, "estimate.diagonal_samples"))
 
-    # characteristic function of increments, numeric vs empirical
+    # characteristic function of increments, numeric vs empirical: each of
+    # the 8 nonzero v strays beyond z sd_v / sqrt(m) with chance 1%/8
     vspec = build_spec({"process": "levy", "alpha": "1.5+0.3*sin(2*pi*t)",
                         "stability_bounds": [1.1, 1.9]})
-    rep = ecf_compare(vspec, 0.3, 2.0 ** -6, np.linspace(0.0, 4.0, 9),
-                      run["verify_cf_m"], run["verify_cf_n_terms"],
-                      run["seed"], workers=args.workers, quad=quad)
-    checks.append(("cf-gap", rep.sup_gap, 0.05, rep.sup_gap <= 0.05))
+    m, n = run["verify_cf_m"], run["verify_cf_n_terms"]
+    rep = ecf_compare(vspec, 0.3, 2.0 ** -6, np.linspace(0.0, 4.0, 9), m, n,
+                      seed, workers=args.workers, quad=quad)
+    thr = -ndtri(0.01 / 16.0) * max(rep.sd) / math.sqrt(m)
+    checks.append(("cf-gap", rep.sup_gap, thr, 0.01, {"m": m, "n_terms": n},
+                   "estimate.levy_increment_cf"))
 
-    # truncation error against its zeta proxy
-    rep2 = truncation_diagnostic(vspec, np.linspace(0.1, 0.9, 9),
-                                 run["verify_n_terms"], run["seed"], pilot=4)
-    ratio = rep2.max_discrepancy / rep2.tail_proxy
-    checks.append(("truncation-proxy", ratio, 10.0, ratio <= 10.0))
+    # Y_2N - Y_N at one time over the pilots against its exact RMS: given
+    # the arrivals a Rademacher sum, near Gaussian, so the sum of squares is
+    # near chi^2(pilot); value = normal score of its nearer tail (two-sided)
+    pilot, n = 200, run["verify_n_terms"]
+    rep2 = truncation_diagnostic(vspec, [0.75], n, seed, pilot=pilot)
+    chi = float(np.sum((rep2.differences / rep2.rms) ** 2))
+    checks.append(("truncation-variance",
+                   -ndtri(min(chdtr(pilot, chi), chdtrc(pilot, chi))),
+                   -ndtri(0.005), 0.01, {"pilot": pilot, "n_terms": n},
+                   "engine.arrival_tail_sum"))
     return checks
+
+
+# one row of verify.csv (the first four fields) and of verify.json (all)
+_Check = namedtuple("_Check", "check value threshold status false_alarm_rate "
+                    "sizes tests")
 
 
 def cmd_verify(cfg: dict, run: dict, args) -> int:
@@ -536,19 +559,20 @@ def cmd_verify(cfg: dict, run: dict, args) -> int:
         # deliberate fault injection drives quadrature past its budget;
         # the report line is the signal, not the scipy chatter
         warnings.simplefilter("ignore", IntegrationWarning)
-        checks = _verify_checks(run, args)
+        checks = [_Check(name, float(val), float(thr),
+                         "pass" if val <= thr else "FAIL", *more)
+                  for name, val, thr, *more in _verify_checks(run, args)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "verify.csv", ("check", "value", "threshold", "status"),
-               [(name, val, thr, "pass" if ok else "FAIL")
-                for name, val, thr, ok in checks])
-    all_ok = True
-    for name, val, thr, ok in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {val:.6g} "
-              f"(threshold {thr:.6g})")
-        all_ok = all_ok and ok
-    _manifest(out, "verify", cfg, run, started, {}, {}, ["verify.csv"])
-    return 0 if all_ok else 4
+    _write_csv(out / "verify.csv", _Check._fields[:4],
+               [c[:4] for c in checks])
+    _write_json(out / "verify.json", {"checks": [c._asdict() for c in checks]})
+    for c in checks:
+        print(f"[{c.status.upper()}] {c.check}: {c.value:.6g} "
+              f"(threshold {c.threshold:.6g})")
+    _manifest(out, "verify", cfg, run, started, {}, {},
+              ["verify.csv", "verify.json"])
+    return 0 if all(c.status == "pass" for c in checks) else 4
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ doubled-length environment extends the shorter one exactly (same prefix).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import poch
 
 from .kernels import ProcessSpec, pair_integral
 from .stable import c_alpha
@@ -41,6 +40,7 @@ __all__ = [
     "eval_diagonal_path",
     "TruncationReport",
     "truncation_diagnostic",
+    "arrival_tail_sum",
     "tail_covariance",
     "tail_sqrt",
     "tail_draw",
@@ -122,6 +122,19 @@ def eval_diagonal_path(env: PoissonEnvironment, spec: ProcessSpec,
 # truncation tail
 
 
+def arrival_tail_sum(c: float, n_terms: int) -> float:
+    """S(N) = sum_{i>N} E[Gamma_i^(-c)] = Gamma(N+1-c) / ((c-1) Gamma(N)),
+    exactly: Gamma_i has the Gamma(i, 1) law, so the N+1 term is
+    Gamma(N+1-c) / Gamma(N+1) = S(N) - S(N+1).  Finite only while
+    1 < c < N + 1; Gamma_{N+1}^(-c) has infinite mean otherwise."""
+    if not 1.0 < c < n_terms + 1.0:
+        raise ValueError(f"the tail moment of order {c!r} is infinite at "
+                         f"n_terms = {n_terms!r}: it needs 1 < c < N + 1")
+    # a Pochhammer ratio keeps the digits that a difference of two
+    # log-gammas of size N log N would lose
+    return float(poch(n_terms, 1.0 - c)) / (c - 1.0)
+
+
 def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
                     n_terms: int) -> np.ndarray:
     """Covariance of the discarded series tail across the path times.
@@ -130,10 +143,10 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     tail sum is a sign-symmetric sum of Gamma_i^(-s) w(V_i)^s f(t,t,V_i)
     with s = 1/alpha(t); summing the per-index second moments gives
 
-        Cov(T_A, T_B) = pref_A pref_B zeta(s_A + s_B, N+1) R_AB
+        Cov(T_A, T_B) = pref_A pref_B S(N, s_A + s_B) R_AB
 
-    with R_AB the pair integral at exponent s_A + s_B.  The Hurwitz zeta
-    uses E[Gamma_i^(-c)] ~ i^(-c) for the high arrival indices.
+    with S the arrival_tail_sum and R_AB the pair integral at exponent
+    s_A + s_B.
     """
     ts = [float(t) for t in grid]
     G = len(ts)
@@ -142,8 +155,8 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     for i in range(G):
         for j in range(i, G):
             r = pair_integral(spec, ts[i], ts[j], ss[i] + ss[j])
-            cov[i, j] = cov[j, i] = (prefs[i] * prefs[j]
-                                     * zeta(ss[i] + ss[j], n_terms + 1.0) * r)
+            tail = arrival_tail_sum(ss[i] + ss[j], n_terms)
+            cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
     return cov
 
 
@@ -172,31 +185,29 @@ def tail_draw(cov_chol: np.ndarray, seed: int, index: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    max_discrepancy: float  # coupled N vs 2N path difference, sup over grid
-    tail_proxy: float       # zeta-based tail sd bound scaled by max |w^s f|
+    differences: np.ndarray  # Y_2N - Y_N, shape (pilot, len(grid))
+    rms: np.ndarray          # exact sqrt(E[(Y_2N - Y_N)^2]) at each time
 
 
 def truncation_diagnostic(spec: ProcessSpec, grid: Sequence[float],
                           n_terms: int, seed: int,
                           pilot: int = 8) -> TruncationReport:
-    """Compare pilot paths at N terms against the same environments extended
-    to 2N (substreams share prefixes, so the extension is exact)."""
+    """What doubling N adds to pilot paths, terms N+1..2N of the same
+    environments (substreams share prefixes), and its exact RMS: these
+    terms carry independent signs, so E[(Y_2N - Y_N)^2] =
+    pref^2 [S(N, 2s) - S(2N, 2s)] R(t, t), with S the arrival_tail_sum and
+    R the pair integral at exponent 2s."""
     grid = np.asarray(grid, dtype=float)
     prefs, ss = _grid_scales(spec, grid)
-    worst = 0.0
-    max_term = 0.0
+    diffs = np.empty((pilot, grid.shape[0]))
     for p in range(pilot):
-        env2 = build_environment(spec, 2 * n_terms, seed, p)
-        env1 = PoissonEnvironment(
-            arrivals=env2.arrivals[:n_terms], points=env2.points[:n_terms],
-            signs=env2.signs[:n_terms], weights=env2.weights[:n_terms])
-        y1 = _diagonal_values(env1, spec, grid, prefs, ss)
-        y2 = _diagonal_values(env2, spec, grid, prefs, ss)
-        worst = max(worst, float(np.max(np.abs(y2 - y1))))
-        for t, s in zip(grid, ss):
-            f = spec.kernel.evaluate(float(t), float(t), env2.points)
-            max_term = max(max_term, float(np.max(
-                np.abs(env2.weights ** s * f))))
-    tail_sum = float(zeta(2.0 / spec.d, n_terms + 1.0))
-    return TruncationReport(max_discrepancy=worst,
-                            tail_proxy=math.sqrt(tail_sum) * max_term)
+        env = build_environment(spec, 2 * n_terms, seed, p)
+        added = PoissonEnvironment(
+            arrivals=env.arrivals[n_terms:], points=env.points[n_terms:],
+            signs=env.signs[n_terms:], weights=env.weights[n_terms:])
+        diffs[p] = _diagonal_values(added, spec, grid, prefs, ss)
+    var = [pref ** 2 * (arrival_tail_sum(2.0 * s, n_terms)
+                        - arrival_tail_sum(2.0 * s, 2 * n_terms))
+           * pair_integral(spec, float(t), float(t), 2.0 * s)
+           for t, pref, s in zip(grid, prefs, ss)]
+    return TruncationReport(differences=diffs, rms=np.sqrt(var))

@@ -356,6 +356,7 @@ class ECFReport:
     v_grid: tuple[float, ...]
     empirical: tuple[float, ...]
     numeric: tuple[float, ...]
+    sd: tuple[float, ...]  # sample sd of cos(v d) at each v
     sup_gap: float
 
 
@@ -368,13 +369,16 @@ def ecf_compare(spec: ProcessSpec, t: float, r: float,
     vals = diagonal_samples(spec, [t, t + r], m_paths, n_terms, seed,
                             tail=tail, workers=workers)
     d = (vals[:, 1] - vals[:, 0]) / r ** spec.h(t)
-    emp, num = [], []
+    emp, num, sd = [], [], []
     for v in v_grid:
-        emp.append(float(np.mean(np.cos(v * d))))
+        cos_vd = np.cos(v * d)
+        emp.append(float(np.mean(cos_vd)))
+        sd.append(float(np.std(cos_vd, ddof=1)))
         num.append(levy_increment_cf(spec, t, r, float(v), quad))
     gap = float(np.max(np.abs(np.asarray(emp) - np.asarray(num))))
     return ECFReport(t=t, r=r, v_grid=tuple(map(float, v_grid)),
-                     empirical=tuple(emp), numeric=tuple(num), sup_gap=gap)
+                     empirical=tuple(emp), numeric=tuple(num), sd=tuple(sd),
+                     sup_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The normalizing constant ``C_eta`` enters every LePage series; with a Gamma
 factor it gives the exact fractional absolute moment of a symmetric
-alpha-stable law in closed form, and the sin^2 tail integral is the
-quadrature reference for that closed form; the Chambers-Mallows-Stuck
-transform provides stable variates that never touch the series code, so the
-two can oracle each other.  A phase-difference generalization of the sin^2
-integral powers the numeric characteristic function of process increments.
+alpha-stable law in closed form.  The Chambers-Mallows-Stuck transform
+provides stable variates that never touch the series code, so the two can
+oracle each other.  One oscillatory quadrature, the phase-difference sin^2
+integral, powers the numeric characteristic function of process increments;
+the sin^2 tail integral is its single-exponent case.
 """
 
 from __future__ import annotations
@@ -74,45 +74,20 @@ def c_alpha(eta: float) -> float:
 
 def _euler_sum(terms: list[float]) -> float:
     """Euler-accelerated sum of an alternating-ish series."""
-    partial = list(np.cumsum(terms))
-    for _ in range(14):
-        if len(partial) < 2:
-            break
-        partial = [0.5 * (partial[i] + partial[i + 1])
-                   for i in range(len(partial) - 1)]
-    return partial[-1]
+    partial = np.cumsum(terms)
+    for _ in range(min(14, len(partial) - 1)):
+        partial = 0.5 * (partial[:-1] + partial[1:])
+    return float(partial[-1])
 
 
 def sin2_integral(eta: float, cfg: QuadratureConfig | None = None) -> float:
-    """int_0^inf u^(-eta-1) sin^2(u) du by oscillatory quadrature, eta in (0,2).
-
-    The closed form is 2^(eta-1) / (eta C_eta); production code uses that,
-    and this quadrature is the independent reference that checks it.
+    """int_0^inf u^(-eta-1) sin^2(u) du for eta in (0,2), whose closed form
+    is 2^(eta-1) / (eta C_eta): the single-exponent phase integral, since
+    u = z^(1/eta) turns it into sin2_phase_integral(0, 1/eta, 1, 1/eta) / eta.
     """
     if not 0.0 < eta < 2.0:
         raise ValueError(f"eta must lie in (0,2), got {eta!r}")
-    cfg = cfg or _DEFAULT_QUAD
-    u0 = 0.5 * math.pi
-    head, _ = quad(lambda u: u ** (-eta - 1.0) * math.sin(u) ** 2, 0.0, u0,
-                   epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                   limit=cfg.max_subdivisions)
-    # tail: sin^2 u = (1 - cos 2u)/2; the 1/2 part integrates in closed form,
-    # the cos part alternates between consecutive odd multiples of pi/4
-    flat = 0.5 * u0 ** (-eta) / eta
-
-    def cos_piece(a: float, b: float) -> float:
-        val, _ = quad(lambda u: u ** (-eta - 1.0) * math.cos(2.0 * u), a, b,
-                      epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                      limit=cfg.max_subdivisions)
-        return val
-
-    bounds = [u0] + [(2 * k + 1) * math.pi / 4.0
-                     for k in range(1, cfg.half_periods + 1)]
-    first = cos_piece(bounds[0], bounds[1])
-    terms = [cos_piece(bounds[i], bounds[i + 1])
-             for i in range(1, len(bounds) - 1)]
-    osc = first + _euler_sum(terms)
-    return head + flat - 0.5 * osc
+    return sin2_phase_integral(0.0, 1.0 / eta, 1.0, 1.0 / eta, cfg) / eta
 
 
 def sas_abs_moment(alpha: float, sigma: float, eta: float) -> float:
@@ -172,9 +147,10 @@ def cms_sample(alpha: float, sigma: float, rng: np.random.Generator, size=None):
 
 def _series_head(A: float, sa: float, B: float, sb: float, zh: float) -> float:
     # int_0^zh sin^2(psi) z^-2 dz with psi = B z^sb - A z^sa, |psi| small;
-    # sin^2 psi = psi^2 - psi^4/3 + 2 psi^6/45 - ...
+    # sin^2 psi = psi^2 - psi^4/3 + 2 psi^6/45 - psi^8/315 + ...
     total = 0.0
-    for k, coef in ((2, 1.0), (4, -1.0 / 3.0), (6, 2.0 / 45.0)):
+    for k, coef in ((2, 1.0), (4, -1.0 / 3.0), (6, 2.0 / 45.0),
+                    (8, -1.0 / 315.0)):
         acc = 0.0
         for j in range(k + 1):
             p = j * sb + (k - j) * sa
@@ -192,21 +168,14 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         raise ValueError("phase amplitudes must be non-negative")
     cfg = cfg or _DEFAULT_QUAD
     if s1 == s2:
-        big = abs(q2 - q1)
-        if big == 0.0:
-            return 0.0
-        A, sa, B, sb = 0.0, s1, big, s1
-    elif s2 > s1:
-        A, sa, B, sb = q1, s1, q2, s2
-    else:
-        A, sa, B, sb = q2, s2, q1, s1
-    if B == 0.0 and A == 0.0:
+        q1, q2 = 0.0, abs(q2 - q1)
+    # the phase B z^sb - A z^sa with sb >= sa; sin^2 is even in the phase,
+    # so a single term is B z^sb with A = 0
+    terms = sorted((s, q) for q, s in ((q1, s1), (q2, s2)) if q > 0.0)
+    if not terms:
         return 0.0
-    if B == 0.0:
-        # only the small-exponent term survives; sin^2 is even in the phase
-        A, B, sb = 0.0, A, sa
-    if A == 0.0:
-        sa = sb
+    (sa, A), (sb, B) = terms if len(terms) == 2 else ((terms[0][0], 0.0),
+                                                      terms[0])
 
     def psi(z: float) -> float:
         return B * z ** sb - A * z ** sa
@@ -219,30 +188,12 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
                 raise ArithmeticError("oscillatory bracket growth failed")
         return hi
 
-    # dip geometry: with A > 0 and sb > sa the phase descends to -m at z_crit
-    # before rising
+    # dip geometry: with A > 0 and sb > sa the phase descends to -dip at
+    # z_crit before rising
+    z_crit = dip = 0.0
     if A > 0.0 and sb > sa:
         z_crit = (A * sa / (B * sb)) ** (1.0 / (sb - sa))
         dip = -psi(z_crit)
-    else:
-        z_crit = None
-        dip = 0.0
-
-    if dip > _PHI_SMALL:
-        lo = z_crit * 1e-12
-        while psi(lo) + _PHI_SMALL < 0.0:
-            lo *= 1e-3
-        zh = brentq(lambda z: psi(z) + _PHI_SMALL, lo, z_crit, rtol=1e-12)
-        rising_from = z_crit
-    else:
-        start = max(z_crit if z_crit is not None else 1e-300, 1e-300)
-        f = lambda z: psi(z) - _PHI_SMALL
-        hi = grow_bracket(f, max(start, 1e-12))
-        zh = brentq(f, start, hi, rtol=1e-12)
-        rising_from = None
-
-    head = _series_head(A, sa, B, sb, zh)
-    const_part = 0.5 / zh
 
     def cos_piece(za: float, zb: float) -> float:
         val, _ = quad(lambda z: math.cos(2.0 * psi(z)) / (2.0 * z * z), za, zb,
@@ -251,7 +202,11 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         return val
 
     pieces: list[tuple[float, float]] = []
-    if rising_from is not None:
+    if dip > _PHI_SMALL:
+        lo = z_crit * 1e-12
+        while psi(lo) + _PHI_SMALL < 0.0:
+            lo *= 1e-3
+        zh = brentq(lambda z: psi(z) + _PHI_SMALL, lo, z_crit, rtol=1e-12)
         # descending branch from zh to z_crit, cut at odd quarter-periods
         two_psi_h = 2.0 * psi(zh)
         bounds = [zh]
@@ -263,9 +218,13 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
                                      bounds[-1], z_crit, rtol=1e-12))
             k -= 1
         bounds.append(z_crit)
-        pieces.extend(zip(bounds[:-1], bounds[1:]))
+        pieces = list(zip(bounds[:-1], bounds[1:]))
         rise_z0, rise_theta0 = z_crit, -2.0 * dip
     else:
+        start = max(z_crit, 1e-300)
+        f = lambda z: psi(z) - _PHI_SMALL
+        hi = grow_bracket(f, max(start, 1e-12))
+        zh = brentq(f, start, hi, rtol=1e-12)
         rise_z0, rise_theta0 = zh, 2.0 * psi(zh)
 
     k0 = math.floor(rise_theta0 / math.pi - 0.5) + 1
@@ -279,4 +238,5 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
     direct = sum(cos_piece(za, zb) for za, zb in pieces)
     direct += cos_piece(zs[0], zs[1])
     tail_terms = [cos_piece(zs[i], zs[i + 1]) for i in range(1, cfg.half_periods)]
-    return head + const_part - (direct + _euler_sum(tail_terms))
+    return (_series_head(A, sa, B, sb, zh) + 0.5 / zh
+            - (direct + _euler_sum(tail_terms)))

@@ -57,6 +57,60 @@ def phase_integral_reference(q1: float, s1: float, q2: float, s2: float,
     return total + 0.5 / z_max
 
 
+def phase_integral_mpmath(q1: float, s1: float, q2: float, s2: float,
+                          dps: int = 30) -> float:
+    """int_0^inf sin^2(q2 z^s2 - q1 z^s1) z^-2 dz in mpmath, for a phase
+    that is not identically zero: tanh-sinh pieces between the points where
+    the phase crosses a multiple of pi/2, then sin^2 = (1 - cos 2 psi)/2
+    and mpmath's oscillatory summation over the zeros of cos(2 psi) on the
+    rising branch."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q1, s1, q2, s2 = map(mp.mpf, (q1, s1, q2, s2))
+        if s1 > s2 or q2 == 0:
+            q1, s1, q2, s2 = q2, s2, q1, s1
+        psi = lambda z: q2 * z ** s2 - q1 * z ** s1
+        f = lambda z: mp.sin(psi(z)) ** 2 / z ** 2
+        # the phase falls to its minimum at zc, then rises without bound
+        zc = mp.mpf(0)
+        if q1 > 0 and s2 > s1:
+            zc = (q1 * s1 / (q2 * s2)) ** (1 / (s2 - s1))
+
+        def cross(level, lo, hi):
+            return mp.findroot(lambda z: psi(z) - level, (lo, hi),
+                               solver="anderson")
+
+        def rising(level):
+            lo, hi = zc, max(2 * zc, mp.mpf(1))
+            while psi(hi) < level:
+                lo, hi = hi, 2 * hi
+            return cross(level, lo, hi)
+
+        quarter = mp.pi / 2
+        cuts = [mp.mpf(0)]
+        j = 1
+        while psi(zc) < -j * quarter:
+            cuts.append(cross(-j * quarter, zc * mp.mpf(10) ** -40, zc))
+            j += 1
+        if zc > 0:
+            cuts.append(zc)
+        # up to z0, where cos(2 psi) vanishes: psi = (k + 1/2) pi/2 there
+        cuts += [rising(j * quarter)
+                 for j in range(int(mp.floor(psi(zc) / quarter)) + 1, 8)]
+        z0 = rising(7.5 * quarter)
+        cuts.append(z0)
+        # f ~ z^(2s - 2) at 0 with s the leading exponent; z = u^p with
+        # p = 1/(2s - 1) makes the first piece bounded
+        p = 1 / (2 * (s1 if q1 > 0 else s2) - 1)
+        head = (mp.quad(lambda u: f(u ** p) * p * u ** (p - 1),
+                        [0, cuts[1] ** (1 / p)]) + mp.quad(f, cuts[1:]))
+        tail = mp.quadosc(lambda z: mp.cos(2 * psi(z)) / z ** 2,
+                          [z0, mp.inf],
+                          zeros=lambda n: rising((7.5 + n) * quarter))
+        return float(head + 1 / (2 * z0) - tail / 2)
+
+
 def kink_integral_mc(alpha: float, H: float, n: int = 400000,
                      seed: int = 0, x_core: float = 50.0) -> float:
     """(int | |1-x|^k - |x|^k |^alpha dx)^(1/alpha), k = H - 1/alpha, by

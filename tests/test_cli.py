@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistable import cli, expr
+from multistable import cli, engine, expr
 from multistable.cli import SCHEMA, build_spec, main
 
 LEVY_CFG = {
@@ -208,6 +208,9 @@ BAD_CONFIGS = [
     ("moments", _moments_cfg(b="1/(t-0.3)"), "'b'"),
     # holder, like moments, needs b(t) != 0
     ("holder", _holder_cfg(b="0"), "'b'"),
+    # the Gaussian tail factor has infinite mean unless n_terms + 1 > 2/alpha
+    ("moments", _moments_cfg(alpha="0.5", stability_bounds=[0.4, 0.6],
+                             n_terms=2, eta=0.3), "n_terms"),
 ]
 
 
@@ -509,6 +512,30 @@ class TestVerifyCommand:
         assert "[FAIL] marginal-ks" in console
         assert "[FAIL] lmmm-marginal-ks" in console
         assert "[PASS] quadrature-identity" in console
+
+    def test_json_report_names_rate_and_function(self, tmp_path):
+        assert _run(tmp_path, dict(VERIFY_SIZES), "verify") == 0
+        out = tmp_path / "out"
+        rows = [ln.split(",") for ln in
+                (out / "verify.csv").read_text().splitlines()[1:]]
+        doc = json.loads((out / "verify.json").read_text())
+        assert [c["check"] for c in doc["checks"]] == [r[0] for r in rows]
+        for c, row in zip(doc["checks"], rows):
+            assert (c["value"], c["threshold"]) == (float(row[1]),
+                                                    float(row[2]))
+            assert c["status"] == row[3]
+            assert 0.0 <= c["false_alarm_rate"] <= 0.01
+            assert c["sizes"] and c["tests"].count(".") == 1
+        assert doc["checks"][0]["value"] <= 1e-13
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_wrong_tail_factor_is_caught(self, tmp_path, capsys, monkeypatch,
+                                         factor):
+        exact = engine.arrival_tail_sum
+        monkeypatch.setattr(engine, "arrival_tail_sum",
+                            lambda c, n: factor * exact(c, n))
+        assert _run(tmp_path, dict(VERIFY_SIZES), "verify") == 4
+        assert "[FAIL] truncation-variance" in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import zeta
 
 from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
-                                build_environment, eval_diagonal_path,
-                                tail_covariance, tail_draw, tail_sqrt,
-                                truncation_diagnostic)
+                                arrival_tail_sum, build_environment,
+                                eval_diagonal_path, tail_covariance,
+                                tail_draw, tail_sqrt, truncation_diagnostic)
 from multistable.expr import FuncSpec
 from multistable.kernels import make_process
 from multistable.stable import c_alpha
@@ -203,7 +202,7 @@ class TestTailCovariance:
         cov = tail_covariance(spec, [0.3, 0.7], n)
         s = 1.0 / 1.5
         pref = 2.0 * c_alpha(1.5) ** s
-        z = zeta(2.0 * s, n + 1)
+        z = arrival_tail_sum(2.0 * s, n)
         want01 = pref * pref * z * 0.3
         assert abs(cov[0, 1] - want01) < 1e-14 * want01
         assert abs(cov[0, 0] - pref * pref * z * 0.3) < 1e-14 * want01
@@ -247,20 +246,59 @@ class TestTailCovariance:
         assert np.allclose(emp, cov, atol=0.15)
 
 
-class TestTruncationDiagnostic:
-    def test_proxy_bounds_observed_discrepancy(self):
-        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
-        rep = truncation_diagnostic(spec, np.linspace(0.05, 1.0, 20), 2000,
-                                    seed=31)
-        assert rep.max_discrepancy < 10.0 * rep.tail_proxy
-        assert rep.max_discrepancy > 0.0
+class TestArrivalTailSum:
+    @pytest.mark.parametrize("c,n", [(1.05, 3), (4.0 / 3.0, 30),
+                                     (1.7, 1000), (3.9, 50), (2.5, 2 ** 20)])
+    def test_partial_sums_plus_telescoped_remainder(self, c, n):
+        # sum_{i>N} Gamma(i-c)/Gamma(i): the terms N+1..N+K summed one by
+        # one in mpmath, then the closed form from N+K on
+        mp = pytest.importorskip("mpmath")
+        k = 500
+        with mp.workdps(40):
+            c_mp = mp.mpf(c)
+            head = mp.fsum(mp.gamma(i - c_mp) / mp.gamma(i)
+                           for i in range(n + 1, n + k + 1))
+            rest = mp.gamma(n + k + 1 - c_mp) / ((c_mp - 1) * mp.gamma(n + k))
+            want = float(head + rest)
+        assert abs(arrival_tail_sum(c, n) / want - 1.0) <= 1e-12
 
-    def test_proxy_decreases_with_more_terms(self):
+    def test_monte_carlo_moment(self):
+        # E[Gamma_{N+1}^(-c)] = S(N) - S(N+1) against Gamma(N+1, 1) draws
+        rng = np.random.default_rng(8)
+        c, n = 1.6, 5
+        x = rng.gamma(n + 1, size=400000) ** -c
+        want = arrival_tail_sum(c, n) - arrival_tail_sum(c, n + 1)
+        assert abs(np.mean(x) - want) < 4.0 * np.std(x) / math.sqrt(x.size)
+
+    @pytest.mark.parametrize("c,n", [(2.0, 1), (3.5, 2), (1.0, 10),
+                                     (0.8, 10)])
+    def test_infinite_moment_raises(self, c, n):
+        with pytest.raises(ValueError, match="infinite"):
+            arrival_tail_sum(c, n)
+
+
+class TestTruncationDiagnostic:
+    @pytest.mark.parametrize("process,t", [("levy", 0.75), ("lmmm", 0.4)])
+    def test_exact_rms_matches_observed_differences(self, process, t):
+        # sum over pilots of (diff / rms)^2 is near chi^2 with `pilot`
+        # degrees of freedom; its 0.1% and 99.9% quantiles at 200
+        spec = (_levy_spec(alpha="1.5+0.3*sin(2*pi*t)") if process == "levy"
+                else _lmmm_spec())
+        pilot = 200
+        rep = truncation_diagnostic(spec, [t], 500, seed=31, pilot=pilot)
+        assert rep.differences.shape == (pilot, 1)
+        stat = float(np.sum((rep.differences / rep.rms) ** 2))
+        assert 143.8 < stat < 267.5
+
+    def test_rms_decreases_with_more_terms(self):
         spec = _levy_spec()
         grid = np.linspace(0.05, 1.0, 10)
         r1 = truncation_diagnostic(spec, grid, 500, seed=31)
         r2 = truncation_diagnostic(spec, grid, 4000, seed=31)
-        assert r2.tail_proxy < r1.tail_proxy
+        assert np.all(r2.rms < r1.rms)
+        # R(t, t) = t for levy, so rms^2 / t is one number at constant alpha
+        ratio = r1.rms ** 2 / grid
+        assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
 
 def _key(seed, index, purpose):

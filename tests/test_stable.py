@@ -139,6 +139,17 @@ class TestPhaseIntegral:
         got = sin2_phase_integral(q1, s1, q2, s2)
         assert abs(got - ref) < 1e-7 * max(1.0, ref)
 
+    # s1 != s2: the phase dips to -0.006 (inside the series head), to -5.9
+    # and to -124 before it rises
+    @pytest.mark.parametrize("q1,s1,q2,s2", [(0.3, 0.55, 0.7, 0.8),
+                                             (2.0, 0.52, 0.1, 1.2),
+                                             (3.0, 0.6, 1.0, 0.7)])
+    def test_against_mpmath(self, q1, s1, q2, s2):
+        pytest.importorskip("mpmath")
+        ref = oracles.phase_integral_mpmath(q1, s1, q2, s2)
+        got = sin2_phase_integral(q1, s1, q2, s2)
+        assert abs(got / ref - 1.0) <= 1e-12
+
     def test_symmetric_in_argument_order(self):
         a = sin2_phase_integral(0.3, 0.55, 0.7, 0.8)
         b = sin2_phase_integral(0.7, 0.8, 0.3, 0.55)
