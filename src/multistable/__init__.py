@@ -17,8 +17,8 @@ from .expr import (EvalError, ExprError, FuncSpec, ParseError, eval_expr,
 from .kernels import (Kernel, MeasureSpec, ProcessSpec, kink_power_integral,
                       levy_kernel, lmmm_kernel, make_process,
                       pair_integral, sigma_lmmm)
-from .stable import (QuadratureConfig, c_alpha, cms_sample, gamma_fn,
-                     sas_abs_moment, sin2_integral, sin2_phase_integral)
+from .stable import (QuadratureConfig, c_alpha, cms_sample, sas_abs_moment,
+                     sin2_integral, sin2_phase_integral)
 
 __all__ = [
     "__version__",
@@ -27,7 +27,7 @@ __all__ = [
     "ParseError", "EvalError",
     # stable-law numerics
     "QuadratureConfig", "c_alpha", "sin2_integral", "sin2_phase_integral",
-    "sas_abs_moment", "gamma_fn", "cms_sample",
+    "sas_abs_moment", "cms_sample",
     # kernels and processes
     "Kernel", "MeasureSpec", "ProcessSpec", "levy_kernel", "lmmm_kernel",
     "make_process", "sigma_lmmm", "kink_power_integral", "pair_integral",

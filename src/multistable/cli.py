@@ -157,7 +157,8 @@ _SIM = ("path", "moments", "holder")
 
 # README.md mirrors this table.  check_config rejects any other key and adds
 # the cross-key rules: the count caps, every time (grid, t, t + eps, t + r)
-# lies in the domain, and eta < c; build_spec adds the model rules.
+# lies in the domain, and eta < c; make_process adds the model rules, which
+# see the domain grid and every one of those times.
 SCHEMA = (
     _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
     _Key("alpha", *_EXPR, _REQUIRED, _SIM),
@@ -229,29 +230,20 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def build_spec(cfg: dict) -> ProcessSpec:
-    """ProcessSpec of a config's model keys; other keys are ignored."""
+def build_spec(cfg: dict, times: Sequence[float] = ()) -> ProcessSpec:
+    """ProcessSpec of a config's model keys; other keys are ignored.
+    make_process checks the model rules on the domain grid and at times,
+    the times the run evaluates."""
     v = _checked(cfg, [k for k in SCHEMA if k.name in _MODEL_KEYS])
-    lo, hi = v["domain"]
-    if v["process"] == "levy" and not 0.0 <= lo < hi <= 1.0:
-        # the levy measure lives on [0, 1]: beyond it the path is frozen
-        raise ConfigError(f"config key 'domain' must lie inside [0, 1] for "
-                          f"levy, got [{lo!r}, {hi!r}]")
     funcs = dict.fromkeys(("alpha", "b", "H"))
     for key in funcs:
         if v[key] is not None:
             try:
-                funcs[key] = FuncSpec.parse(v[key], v["domain"])
+                funcs[key] = FuncSpec.parse(v[key], v["domain"], times)
                 # raises EvalError where the function cannot be evaluated
-                vals = funcs[key].grid_values
+                funcs[key].grid_values
             except ExprError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-            if (v["process"] == "lfsm-control" and key != "b"
-                    and min(vals) != max(vals)):
-                # the control is the linear fractional stable motion
-                raise ConfigError(
-                    f"config key {key!r} must be constant for lfsm-control, "
-                    f"got values in [{min(vals)!r}, {max(vals)!r}]")
     try:
         return make_process(v["process"], funcs["alpha"], funcs["b"],
                             funcs["H"], v["domain"], *v["stability_bounds"],
@@ -274,36 +266,29 @@ def check_config(cfg: dict, command: str) -> dict:
     if run[count] * len(run[lev]) > _MAX_VALUES:
         raise ConfigError(f"config key {count!r} times the {len(run[lev])} "
                           f"points of {lev!r} exceeds 2^24 values")
-    spec = run["spec"] = build_spec(cfg)
-    lo, hi = spec.domain
     if command == "path":
         times = {"grid": run["grid"]}
     else:
-        lev = "eps" if command == "moments" else "r"
-        ts = run["t"] if command == "holder" else [run["t"]]
-        times = {"t": ts, lev: [t + e for t in ts for e in run[lev]]}
+        ts = np.atleast_1d(run["t"])  # holder takes a list of times
+        times = {"t": ts, lev: np.add.outer(ts, run[lev]).ravel()}
+    lo, hi = run["domain"]
     for key, xs in times.items():
-        for x in xs:
-            if not lo <= x <= hi:
-                raise ConfigError(f"config key {key!r} puts time {float(x)!r} "
-                                  f"outside the domain [{lo!r}, {hi!r}]")
-    # the model functions at the run's own times, besides the domain grid
-    at = sorted({float(x) for xs in times.values() for x in xs})
-    for key, f in (("alpha", spec.alpha), ("b", spec.b), ("H", spec.H)):
-        for x in at if f is not None else ():
-            try:
-                f(x)
-            except ExprError as exc:
-                raise ConfigError(f"config key {key!r} fails at time {x!r}: "
-                                  f"{exc}") from None
-    if run.get("tail") == "gauss" and spec.H is not None and any(
-            1.0 / a + h >= 1.5 or h - 1.0 / a <= -0.5
-            for a, h in zip(spec.alpha.grid_values, spec.H.grid_values)):
-        raise ConfigError("config key 'tail' is \"gauss\", but the series "
-                          "terms have infinite variance where 1/alpha + H "
-                          "reaches 3/2 or H - 1/alpha falls to -1/2 on the "
-                          "domain")
-    c_max = 2.0 / min(spec.alpha.grid_values)
+        outside = xs[(xs < lo) | (xs > hi)]
+        if outside.size:
+            raise ConfigError(f"config key {key!r} puts time "
+                              f"{float(outside[0])!r} outside the domain "
+                              f"[{lo!r}, {hi!r}]")
+    spec = run["spec"] = build_spec(
+        cfg, np.unique(np.concatenate(list(times.values()))))
+    a = spec.alpha.grid_values
+    if run.get("tail") == "gauss" and spec.H is not None:
+        h = spec.H.grid_values
+        if np.any((1.0 / a + h >= 1.5) | (h - 1.0 / a <= -0.5)):
+            raise ConfigError("config key 'tail' is \"gauss\", but the "
+                              "series terms have infinite variance where "
+                              "1/alpha + H reaches 3/2 or H - 1/alpha falls "
+                              "to -1/2 on the domain")
+    c_max = 2.0 / float(a.min())
     if run.get("tail") == "gauss" and run["n_terms"] + 1 <= c_max:
         raise ConfigError(f"config key 'n_terms' must exceed 2/alpha - 1 = "
                           f"{c_max - 1.0!r} on the domain for the Gaussian "
@@ -311,7 +296,7 @@ def check_config(cfg: dict, command: str) -> dict:
     if command == "moments" and not run["eta"] < spec.c:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")
-    for t in times.get("t", ()):
+    for t in map(float, times.get("t", ())):
         if spec.b(t) == 0.0:
             raise ConfigError(f"config key 'b' vanishes at t = {t!r}, whose "
                               "scaling law takes log|b(t)|")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -220,24 +220,18 @@ class HolderEstimate:
 def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
                     m_paths: int, n_terms: int, seed: int, *,
                     tail: str = "gauss", workers: int = 1,
-                    alpha_regularity: Optional[float] = None,
-                    signal_fn: Optional[Callable[[np.ndarray], np.ndarray]]
-                    = None) -> HolderEstimate:
+                    alpha_regularity: Optional[float] = None
+                    ) -> HolderEstimate:
     """Median over paths of the per-path regression slope of
     log |Y(t+r) - Y(t)| on log r, with a bootstrap percentile interval.
 
     Zero or non-finite increments are dropped per (path, level) and counted.
     alpha_regularity declares the Holder exponent of the alpha function
     itself, which caps the theoretical target when alpha(t) < 1.
-    signal_fn bypasses simulation entirely (deterministic validation hook).
     """
     grid = np.concatenate(([t], t + np.asarray(r_levels, dtype=float)))
-    if signal_fn is not None:
-        row = np.asarray(signal_fn(grid), dtype=float)
-        vals = np.tile(row, (m_paths, 1))
-    else:
-        vals = diagonal_samples(spec, grid, m_paths, n_terms, seed,
-                                tail=tail, workers=workers)
+    vals = diagonal_samples(spec, grid, m_paths, n_terms, seed, tail=tail,
+                            workers=workers)
     logr = np.log(np.asarray(r_levels, dtype=float))
     dy = np.abs(vals[:, 1:] - vals[:, [0]])
     ok = np.isfinite(dy) & (dy > 0.0)

@@ -17,13 +17,16 @@ variable.  Digits and names are ASCII.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "ExprError",
@@ -352,34 +355,40 @@ def to_source(ast: ExprAst) -> str:
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A parsed model function with its declared domain interval."""
+    """A parsed model function with its declared domain interval and the
+    times a run evaluates it at besides the domain grid."""
 
     source: str
     ast: ExprAst
     domain: tuple[float, float]
+    # an array, so it takes no part in == and hash
+    times: np.ndarray = field(default_factory=lambda: np.empty(0),
+                              compare=False, repr=False)
 
     def __call__(self, t: float) -> float:
         return eval_expr(self.ast, t)
 
     @classmethod
-    def parse(cls, source: str, domain: tuple[float, float]) -> "FuncSpec":
+    def parse(cls, source: str, domain: tuple[float, float],
+              times: Sequence[float] = ()) -> "FuncSpec":
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise ExprError(f"empty domain ({lo}, {hi})")
-        return cls(source=source, ast=parse_expr(source), domain=(lo, hi))
+        return cls(source=source, ast=parse_expr(source), domain=(lo, hi),
+                   times=np.asarray(times, dtype=float))
 
     @cached_property
-    def grid_values(self) -> tuple[float, ...]:
-        """Values on a uniform 257-point grid over the domain, evaluated
-        once; raises :class:`EvalError` naming the grid point where
-        evaluation fails."""
+    def grid_values(self) -> np.ndarray:
+        """Values on a uniform 257-point grid over the domain, then at the
+        run's times, evaluated once into one float array; raises
+        :class:`EvalError` naming the time where evaluation fails."""
         n, (a, b) = 257, self.domain
-        values = []
-        for k in range(n):
-            t = a + (b - a) * k / (n - 1)
+        grid = [a + (b - a) * k / (n - 1) for k in range(n)]
+        values = np.empty(n + self.times.shape[0])
+        for i, t in enumerate(itertools.chain(grid, map(float, self.times))):
             try:
-                values.append(eval_expr(self.ast, t))
+                values[i] = eval_expr(self.ast, t)
             except EvalError as exc:
-                raise EvalError(f"evaluation failed at grid point t={t!r}: "
+                raise EvalError(f"evaluation failed at t={t!r}: "
                                 f"{exc}") from exc
-        return tuple(values)
+        return values

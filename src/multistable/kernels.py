@@ -212,39 +212,56 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
                  H: Optional[FuncSpec], domain: tuple[float, float],
                  c: float, d: float,
                  b_plus: float = 1.0, b_minus: float = 1.0) -> ProcessSpec:
-    """Validated ProcessSpec factory; collects policy warnings."""
+    """ProcessSpec of a model.  It owns the model rules, each a ValueError,
+    and checks alpha and H at every value of their grid_values (the domain
+    grid, then the FuncSpec's times): 0 < c <= d < 2 and alpha in [c, d];
+    H in (0, 1) for lmmm and lfsm-control; a levy domain inside [0, 1];
+    for lfsm-control a constant alpha and H (linear fractional stable
+    motion) and side weights not both 0; side weights of 1 elsewhere.
+    Where H - 1/alpha dips below 0 the spec carries a warning."""
     if not (0.0 < c <= d < 2.0):
         raise ValueError(f"stability bounds must satisfy 0 < c <= d < 2, "
                          f"got c={c!r} d={d!r}")
-    amin, amax = min(alpha.grid_values), max(alpha.grid_values)
-    if not c <= amin <= amax <= d:
-        raise ValueError(f"alpha range [{amin:.6g}, {amax:.6g}] leaves "
-                         f"[{c:.6g}, {d:.6g}]")
-    warnings: list[str] = []
+    if tag not in ("levy", "lmmm", "lfsm-control"):
+        raise ValueError(f"unknown process tag {tag!r}")
+    weights = (b_plus, b_minus)
+    if tag == "lfsm-control" and weights == (0.0, 0.0):
+        raise ValueError("side weights b_plus and b_minus are both 0")
+    for name, w in zip(("b_plus", "b_minus"), weights):
+        if tag != "lfsm-control" and w != 1.0:
+            raise ValueError(f"side weight {name} = {w!r}, but only "
+                             f"lfsm-control has side weights, not {tag}")
+    lo, hi = domain
+    if tag == "levy" and not 0.0 <= lo < hi <= 1.0:
+        # the levy measure lives on [0, 1]: beyond it the path is frozen
+        raise ValueError(f"domain [{lo!r}, {hi!r}] must lie inside [0, 1] "
+                         "for levy")
+    a = alpha.grid_values
+    if not c <= a.min() <= a.max() <= d:
+        raise ValueError(f"alpha range [{a.min():.6g}, {a.max():.6g}] "
+                         f"leaves [{c:.6g}, {d:.6g}]")
     if tag == "levy":
         kernel, measure = levy_kernel()
-        H = None
-    elif tag in ("lmmm", "lfsm-control"):
-        if H is None:
-            raise ValueError(f"{tag} requires an H function")
-        hmin, hmax = min(H.grid_values), max(H.grid_values)
-        if not 0.0 < hmin <= hmax < 1.0:
-            raise ValueError(f"H range [{hmin:.6g}, {hmax:.6g}] leaves (0,1)")
-        weights = (b_plus, b_minus) if tag == "lfsm-control" else None
-        if weights == (0.0, 0.0):
-            raise ValueError("side weights b_plus and b_minus are both 0")
-        kernel, measure = lmmm_kernel(alpha, H, weights)
-        kmin = min(h - 1.0 / a
-                   for a, h in zip(alpha.grid_values, H.grid_values))
-        if kmin < 0.0:
-            warnings.append(
-                f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound "
-                "is not asserted in this regime")
-    else:
-        raise ValueError(f"unknown process tag {tag!r}")
+        return ProcessSpec(tag, kernel, measure, alpha, b, None, domain, c, d)
+    if H is None:
+        raise ValueError(f"{tag} requires an H function")
+    h = H.grid_values
+    if not 0.0 < h.min() <= h.max() < 1.0:
+        raise ValueError(f"H range [{h.min():.6g}, {h.max():.6g}] leaves "
+                         "(0,1)")
+    for name, v in (("alpha", a), ("H", h)) if tag == "lfsm-control" else ():
+        if v.min() != v.max():
+            raise ValueError(f"{name!r} must be constant for lfsm-control, "
+                             f"got values in [{float(v.min())!r}, "
+                             f"{float(v.max())!r}]")
+    kernel, measure = lmmm_kernel(
+        alpha, H, weights if tag == "lfsm-control" else None)
+    kmin = float(np.min(h - 1.0 / a))
+    warnings = () if kmin >= 0.0 else (
+        f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound is not "
+        "asserted in this regime",)
     return ProcessSpec(tag=tag, kernel=kernel, measure=measure, alpha=alpha,
-                       b=b, H=H, domain=domain, c=c, d=d,
-                       warnings=tuple(warnings))
+                       b=b, H=H, domain=domain, c=c, d=d, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

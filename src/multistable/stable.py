@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 
 __all__ = [
     "QuadratureConfig",
-    "gamma_fn",
     "c_alpha",
     "sin2_integral",
     "sas_abs_moment",
@@ -53,14 +52,6 @@ class QuadratureConfig:
 _DEFAULT_QUAD = QuadratureConfig()
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function; poles at non-positive integers raise ValueError."""
-    try:
-        return math.gamma(x)
-    except ValueError as exc:
-        raise ValueError(f"gamma pole or domain error at x={x!r}") from exc
-
-
 def c_alpha(eta: float) -> float:
     """Normalizing constant 1 / int_0^inf x^(-eta) sin(x) dx for eta in (0,2).
 
@@ -69,7 +60,7 @@ def c_alpha(eta: float) -> float:
     """
     if not 0.0 < eta < 2.0:
         raise ValueError(f"eta must lie in (0,2), got {eta!r}")
-    return 2.0 * gamma_fn(eta) * math.sin(math.pi * eta / 2.0) / math.pi
+    return 2.0 * math.gamma(eta) * math.sin(math.pi * eta / 2.0) / math.pi
 
 
 def _euler_sum(terms: list[float]) -> float:
@@ -102,7 +93,7 @@ def sas_abs_moment(alpha: float, sigma: float, eta: float) -> float:
         raise ValueError(f"eta must lie in (0,alpha), got eta={eta!r}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return sigma ** eta * gamma_fn(1.0 - eta / alpha) * c_alpha(eta)
+    return sigma ** eta * math.gamma(1.0 - eta / alpha) * c_alpha(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,42 @@ def kink_integral_mc(alpha: float, H: float, n: int = 400000,
     return total ** (1.0 / alpha)
 
 
+def kink_integral_mpmath(a: float, kappa: float, side_weights=(1.0, 1.0),
+                         dps: int = 30) -> float:
+    """int_R |f(1,x)|^a dx in mpmath, f(1,x) = b(1-x)|1-x|^kappa
+    - b(-x)|x|^kappa with b = b_plus on positive and b_minus on negative
+    arguments, for b_plus, b_minus > 0.
+
+    Every piece is written in the offset u from its kink, since 1 - u
+    rounds to 1 near a kink; for kappa < 0 the substitution
+    u = v^(1/(kappa a + 1)) makes the u^(kappa a) singularity at each kink
+    bounded.  (0, 1) splits at the zero of f, where |f|^a has a kink of its
+    own; the outer pieces are mirror images, weighted b^a."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, k = mp.mpf(a), mp.mpf(kappa)
+        bp, bm = map(mp.mpf, side_weights)
+
+        def from_kink(g, width):
+            # int_0^width g(u) du, g singular at u = 0 when kappa < 0
+            if k >= 0:
+                return mp.quad(g, [0, width])
+            p = 1 / (k * a + 1)
+            return mp.quad(lambda v: g(v ** p) * p * v ** (p - 1),
+                           [0, width ** (1 / p)])
+
+        # beyond a kink: |(1+u)^kappa - u^kappa|^a without cancellation
+        outer = lambda u: abs(u ** k * mp.expm1(k * mp.log1p(1 / u))) ** a
+        beyond = from_kink(outer, 1) + mp.quad(outer, [1, 10, 100, mp.inf])
+        # between the kinks f vanishes at x0: b_plus (1-x0)^k = b_minus x0^k
+        x0 = 1 / (1 + (bm / bp) ** (1 / k))
+        left = lambda u: abs(bp * (1 - u) ** k - bm * u ** k) ** a
+        right = lambda u: abs(bp * u ** k - bm * (1 - u) ** k) ** a
+        between = from_kink(left, x0) + from_kink(right, 1 - x0)
+        return float((bp ** a + bm ** a) * beyond + between)
+
+
 def moving_average_l2(t: float, k1: float, k2: float, b_plus: float = 1.0,
                       b_minus: float = 1.0) -> float:
     """int f_k1(t,x) f_k2(t,x) dx over the real line, where

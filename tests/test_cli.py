@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from multistable import cli, engine, expr
 from multistable.cli import SCHEMA, build_spec, main
+from multistable.estimate import theoretical_scaling
 
 LEVY_CFG = {
     "process": "levy",
@@ -211,6 +212,27 @@ BAD_CONFIGS = [
     # the Gaussian tail factor has infinite mean unless n_terms + 1 > 2/alpha
     ("moments", _moments_cfg(alpha="0.5", stability_bounds=[0.4, 0.6],
                              n_terms=2, eta=0.3), "n_terms"),
+    # alpha and H at the run's own times: sin(256*pi*t) is 0 on the domain
+    # grid k/256 but not at t = 0.3, where alpha leaves [c, d] or (0, 2)
+    # and H leaves (0, 1)
+    ("moments", _moments_cfg(alpha="1.5+0.6*sin(256*pi*t)",
+                             stability_bounds=[1.4, 1.6], m_paths=20,
+                             eps=[2.0 ** -9, 2.0 ** -10]), "alpha"),
+    ("moments", _moments_cfg(alpha="1.5+0.9*sin(256*pi*t)",
+                             stability_bounds=[1.4, 1.9], m_paths=20,
+                             eps=[2.0 ** -9, 2.0 ** -10]), "alpha"),
+    ("path", _path_cfg(process="lmmm", alpha="1.7",
+                       H="0.7+0.9*sin(256*pi*t)",
+                       stability_bounds=[1.45, 1.95], grid=[0.3, 0.31]),
+     "H"),
+    ("moments", _moments_cfg(process="lmmm", alpha="1.7",
+                             H="0.7+0.9*sin(256*pi*t)",
+                             stability_bounds=[1.45, 1.95], tail="none",
+                             m_paths=20, eps=[2.0 ** -9, 2.0 ** -10]), "H"),
+    # side weights belong to lfsm-control; lmmm would drop them silently
+    ("path", _path_cfg(process="lmmm", alpha="1.7", H="0.7",
+                       stability_bounds=[1.45, 1.95], grid=[0.3, 0.31],
+                       b_minus=0.3), "b_minus"),
 ]
 
 
@@ -330,6 +352,45 @@ def test_one_bad_key_never_raises_or_writes_nan(case):
             assert rc == 2
         if rc == 0:
             _assert_finite_csvs(Path(tmp) / "out")
+
+
+_WAVE = "{!r}+{!r}*sin(256*pi*t)"  # the second term is 0 on the grid k/256
+
+
+@st.composite
+def _wavy_model(draw):
+    """An lmmm config whose alpha and H ripple between the domain grid
+    points, with random run times: a path grid, or a moments t and eps."""
+    cfg = dict(LEVY_CFG, process="lmmm", stability_bounds=[1.2, 1.9],
+               tail="none",
+               alpha=_WAVE.format(draw(st.floats(1.25, 1.85)),
+                                  draw(st.floats(-0.6, 0.6))),
+               H=_WAVE.format(draw(st.floats(0.05, 0.95)),
+                              draw(st.floats(-0.6, 0.6))))
+    if draw(st.booleans()):
+        grid = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5))
+        return "path", dict(cfg, grid=grid), grid
+    t = draw(st.floats(0.0, 0.9))
+    eps = draw(st.lists(st.floats(1e-6, 0.1), min_size=2, max_size=4,
+                        unique=True))
+    return ("moments", dict(cfg, t=t, eps=eps, eta=0.5, m_paths=2),
+            [t] + [t + e for e in eps])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wavy_model())
+def test_model_rules_hold_at_every_evaluation_time(case):
+    command, cfg, times = case
+    try:
+        spec = cli.check_config(cfg, command)["spec"]
+    except cli.ConfigError as exc:
+        assert "alpha" in str(exc) or "H" in str(exc)
+        return
+    for x in times:
+        assert spec.c <= spec.alpha(x) <= spec.d
+        assert 0.0 < spec.H(x) < 1.0
+    engine._grid_scales(spec, times)
+    theoretical_scaling(spec, times[0], 0.5)
 
 
 class TestPathCommand:

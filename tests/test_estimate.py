@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from multistable import estimate
 from multistable.estimate import (MomentEstimate, condition_probe,
                                   diagonal_samples, ecf_compare,
                                   estimate_increment_moments, fit_scaling,
@@ -11,7 +13,8 @@ from multistable.estimate import (MomentEstimate, condition_probe,
                                   theoretical_scaling)
 from multistable.engine import build_environment, eval_diagonal_path
 from multistable.expr import FuncSpec
-from multistable.kernels import kink_power_integral, make_process, sigma_lmmm
+from multistable.kernels import (kink_power_integral, lmmm_kernel,
+                                 make_process, sigma_lmmm)
 from multistable.stable import sas_abs_moment
 
 import oracles
@@ -61,8 +64,12 @@ class TestDiagonalSamples:
         # one path from environment to value: each row is the evaluator
         # applied to the environment of its index, bit for bit
         H = None if process == "levy" else _fs("0.8")
-        spec = make_process(process, _fs("1.6+0.2*t"), _fs("1"), H,
-                            (0.0, 1.0), 1.3, 1.9, b_plus=1.0, b_minus=0.5)
+        # lfsm-control alone takes side weights, and a constant alpha
+        alpha, weights = "1.6+0.2*t", {}
+        if process == "lfsm-control":
+            alpha, weights = "1.7", {"b_plus": 1.0, "b_minus": 0.5}
+        spec = make_process(process, _fs(alpha), _fs("1"), H,
+                            (0.0, 1.0), 1.3, 1.9, **weights)
         grid = [0.15, 0.5, 0.85]
         vals = diagonal_samples(spec, grid, 140, 300, seed=4, tail="none",
                                 index_offset=70)
@@ -163,17 +170,24 @@ class TestIncrementMoments:
         assert abs(me.estimates[0] - want) < 4.0 * me.stderrs[0]
 
 
+def _every_path_is(monkeypatch, signal):
+    """Replace the simulation: each of the m_paths rows is signal(grid)."""
+    def samples(spec, grid, m_paths, *args, **kwargs):
+        return np.tile(signal(np.asarray(grid, dtype=float)), (m_paths, 1))
+    monkeypatch.setattr(estimate, "diagonal_samples", samples)
+
+
 class TestHolderPathwise:
-    def test_injected_signal_recovers_exponent(self):
+    def test_injected_signal_recovers_exponent(self, monkeypatch):
         spec = _levy_spec()
         r = [2.0 ** -k for k in range(4, 12)]
-        est = holder_pathwise(spec, 0.5, r, 10, 10, seed=1,
-                              signal_fn=lambda g: np.abs(g - 0.5) ** 0.7)
+        _every_path_is(monkeypatch, lambda g: np.abs(g - 0.5) ** 0.7)
+        est = holder_pathwise(spec, 0.5, r, 10, 10, seed=1)
         assert abs(est.estimate - 0.7) < 1e-6
         assert est.ci_lo <= est.estimate <= est.ci_hi
         assert est.drop_count == 0
 
-    def test_zero_level_is_dropped_and_counted(self):
+    def test_zero_level_is_dropped_and_counted(self, monkeypatch):
         spec = _levy_spec()
         r = [2.0 ** -k for k in range(4, 10)]
 
@@ -182,15 +196,16 @@ class TestHolderPathwise:
             y[np.isclose(g, 0.5 + r[2])] = y[0]  # increment exactly zero
             return y
 
-        est = holder_pathwise(spec, 0.5, r, 7, 10, seed=1, signal_fn=signal)
+        _every_path_is(monkeypatch, signal)
+        est = holder_pathwise(spec, 0.5, r, 7, 10, seed=1)
         assert est.drop_count == 7
         assert abs(est.estimate - 0.6) < 0.02
 
-    def test_all_paths_degenerate_raises(self):
+    def test_all_paths_degenerate_raises(self, monkeypatch):
         spec = _levy_spec()
+        _every_path_is(monkeypatch, np.ones_like)
         with pytest.raises(ValueError, match="increments"):
-            holder_pathwise(spec, 0.5, [0.01, 0.02], 5, 10, seed=1,
-                            signal_fn=lambda g: np.ones_like(g))
+            holder_pathwise(spec, 0.5, [0.01, 0.02], 5, 10, seed=1)
 
     def test_levy_theory_targets(self):
         hi = _levy_spec(alpha="1.5")
@@ -300,10 +315,12 @@ class TestConditionProbes:
     @pytest.mark.parametrize("r", [2.0 ** -3, 2.0 ** -6])
     def test_moving_average_against_closed_form(self, weights, r):
         # every probe of the moving-average family is an L^2 integral of
-        # the kernel, so the Fourier closed form pins all but C9
-        spec = make_process("lfsm-control", _fs("1.7"), _fs("1"),
-                            _fs("0.7+0.1*t"), (0.0, 1.0), 1.2, 1.95,
-                            b_plus=weights[0], b_minus=weights[1])
+        # the kernel, so the Fourier closed form pins all but C9.  The
+        # probes read only the kernel, so this one takes side weights and a
+        # varying H together, which make_process refuses for any process
+        spec = _lmmm_spec(alpha="1.7", H="0.7+0.1*t")
+        spec = dataclasses.replace(spec, kernel=lmmm_kernel(
+            spec.alpha, spec.H, weights)[0])
         t = 0.4
         k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
         l2 = lambda v, k1, k2: oracles.moving_average_l2(v, k1, k2, *weights)

@@ -231,6 +231,17 @@ class TestFuncSpec:
             fs.grid_values
         assert "t=" in str(exc.value)
 
+    def test_grid_values_end_with_the_run_times(self):
+        fs = FuncSpec.parse("2*t", (0.0, 1.0), [0.3, 0.7])
+        values = fs.grid_values
+        assert values.shape == (259,)
+        assert values[256] == 2.0 and list(values[257:]) == [0.6, 1.4]
+
+    def test_grid_values_name_the_failing_run_time(self):
+        fs = FuncSpec.parse("1/(t-0.3)", (0.0, 1.0), [0.3])
+        with pytest.raises(EvalError, match=r"at t=0\.3"):
+            fs.grid_values
+
 
 def test_readme_lists_every_function():
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -299,6 +299,17 @@ class TestKinkIntegral:
         with pytest.raises(ValueError):
             sigma_lmmm(1.5, 1.0)
 
+    @pytest.mark.parametrize("a,H,weights,want", [
+        (1.1, 0.1, (1.0, 1.0), 32.8033019073918),
+        (1.2, 0.5, (1.0, 1.0), 2.797304207991819),
+        (1.2, 0.5, (1.0, 0.3), 2.362332634192698)])
+    def test_negative_kappa_against_mpmath(self, a, H, weights, want):
+        # kappa = H - 1/a < 0: |f|^a is singular at both kinks
+        ref = oracles.kink_integral_mpmath(a, H - 1.0 / a, weights)
+        assert abs(ref / want - 1.0) < 1e-14
+        got = kink_power_integral(a, H - 1.0 / a, weights)
+        assert abs(got / ref - 1.0) < 1e-9
+
     @pytest.mark.parametrize("a,kappa", [(1.7, 0.75 - 1.0 / 1.7),
                                          (2.0, 0.5 - 1.0 / 1.5), (1.5, 0.0)])
     def test_unit_side_weights_are_bit_identical(self, a, kappa):
@@ -434,3 +445,36 @@ class TestMakeProcess:
         levy = _levy_spec()
         with pytest.raises(ValueError, match="kappa"):
             levy.kappa(0.5)
+
+    @pytest.mark.parametrize("alpha,H,name", [("1.5+0.3*t", "0.7", "'alpha'"),
+                                              ("1.5", "0.7+0.2*t", "'H'")])
+    def test_lfsm_control_needs_constant_alpha_and_H(self, alpha, H, name):
+        with pytest.raises(ValueError, match=f"{name} must be constant"):
+            make_process("lfsm-control", _fs(alpha), _fs("1"), _fs(H),
+                         (0.0, 1.0), 1.2, 1.9)
+
+    @pytest.mark.parametrize("domain", [(0.0, 3.0), (-0.5, 0.5)])
+    def test_levy_domain_inside_unit_interval(self, domain):
+        with pytest.raises(ValueError, match="domain"):
+            _levy_spec(domain=domain)
+
+    @pytest.mark.parametrize("process,H", [("levy", None), ("lmmm", "0.7")])
+    @pytest.mark.parametrize("name", ["b_plus", "b_minus"])
+    def test_side_weights_only_for_lfsm_control(self, process, H, name):
+        with pytest.raises(ValueError, match=name):
+            make_process(process, _fs("1.7"), _fs("1"), H and _fs(H),
+                         (0.0, 1.0), 1.2, 1.9, **{name: 0.3})
+
+    @pytest.mark.parametrize("key,src,H", [
+        ("alpha", "1.5+0.6*sin(256*pi*t)", "0.7"),
+        ("H", "1.5", "0.7+0.9*sin(256*pi*t)")])
+    def test_ranges_are_checked_at_the_run_times(self, key, src, H):
+        # sin(256*pi*t) is 0 on the 257-point domain grid, not at t = 0.3
+        grid_only = make_process("lmmm", _fs(src), _fs("1"), _fs(H),
+                                 (0.0, 1.0), 1.4, 1.6)
+        assert grid_only.tag == "lmmm"
+        at = (0.3,)
+        with pytest.raises(ValueError, match=f"{key} range"):
+            make_process("lmmm", FuncSpec.parse(src, (0.0, 1.0), at),
+                         _fs("1"), FuncSpec.parse(H, (0.0, 1.0), at),
+                         (0.0, 1.0), 1.4, 1.6)

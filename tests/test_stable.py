@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from multistable.stable import (QuadratureConfig, c_alpha, cms_from_uniforms,
-                                cms_sample, gamma_fn, sas_abs_moment,
-                                sin2_integral, sin2_phase_integral)
+                                cms_sample, sas_abs_moment, sin2_integral,
+                                sin2_phase_integral)
 
 import oracles
 
@@ -166,14 +166,6 @@ class TestPhaseIntegral:
             via_phase = sin2_phase_integral(0.0, 0.6, q, s)
             via_moment = alpha * q ** alpha * sin2_integral(alpha)
             assert abs(via_phase / via_moment - 1.0) < 1e-9
-
-
-def test_gamma_fn_wraps_poles():
-    assert gamma_fn(4.0) == 6.0
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-2.0)
 
 
 def test_quadrature_config_validation():
