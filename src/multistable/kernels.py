@@ -11,7 +11,9 @@ the localisability probes also vary u.
 Also houses the kernel-specific integrals: the lmmm scale integral
 sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
 kappa_difference_integral, and the measure-weighted pair integrals at two
-path times that drive truncation-tail covariances.
+path times that drive truncation-tail covariances.  All run on one graded
+Gauss-Legendre rule but band 1 of the pair integral, the last adaptive
+quad, which waits for a benchmark not chosen for its cost.
 """
 
 from __future__ import annotations
@@ -139,19 +141,21 @@ def _lmmm_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _power_diff(t: float, k: float, x: np.ndarray,
-                weights: Optional[tuple[float, float]] = None) -> np.ndarray:
+                weights: Optional[tuple[float, float]] = None,
+                anchor: Optional[np.ndarray] = None) -> np.ndarray:
     """|t-x|^k - |x|^k, switching to |x|^k * expm1(k*log1p(+-t/|x|)) far from
     the kinks where the direct difference cancels catastrophically.  Side
     weights (b_plus, b_minus) scale each power by b_plus left of its kink
-    and by b_minus right of it."""
+    and by b_minus right of it.  With an anchor, x is the offset from it."""
     shape, x = np.shape(x), np.ravel(x)
+    tx, x = (t - x, x) if anchor is None else ((t - anchor) - x, anchor + x)
     ax = np.abs(x)
     far = np.flatnonzero(ax > 8.0 * (1.0 + abs(t)))
     if weights is None:
-        out = np.abs(t - x) ** k - ax ** k
+        out = np.abs(tx) ** k - ax ** k
     else:
         bp, bm = weights
-        out = (np.where(x < t, bp, bm) * np.abs(t - x) ** k
+        out = (np.where(tx > 0.0, bp, bm) * np.abs(tx) ** k
                - np.where(x < 0.0, bp, bm) * ax ** k)
     if far.size:
         xf, sf = ax[far], np.sign(x[far])
@@ -268,15 +272,34 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
 # kernel integrals
 
 
-def _kink_quad(g: Callable[[np.ndarray], np.ndarray], v: float) -> float:
-    """int_R g(x) dx for g built from _power_diff at time v, split at the
-    kinks 0 and v.  quad maps the infinite pieces onto finite ones, and the
-    expm1 branch of _power_diff keeps g accurate far out, so there is no
-    cut-off and no far-field expansion."""
-    return sum(quad(lambda x: float(g(np.array([x]))[0]), lo, hi,
-                    epsabs=0.0, epsrel=1e-11, limit=400)[0]
-               for lo, hi in ((-np.inf, 0.0), (0.0, 0.5 * v), (0.5 * v, v),
-                              (v, np.inf)))
+# every kernel integral but band 1 of pair_integral: GL-24 on cells graded
+# tenfold toward the kinks (Davis & Rabinowitz, Methods of Numerical
+# Integration, 1984) down to 10^-_DEPTH; whole-line rules end at _FAR
+_GLX, _GLW = np.polynomial.legendre.leggauss(24)
+_DEPTH, _FAR = 80, 1e24
+
+
+def _graded_rule(points, powers, far: float = 0.0):
+    """(anchor, offset, weight) of the graded rule on [points[0] - far,
+    points[-1] + far], cut at the midpoints between the points: each node
+    keeps its exact offset from its own point.  The innermost cell [0, d]
+    is one node at d of weight d / (power + 1), exact for the leading term
+    |x - point|^power there."""
+    half, rule = np.diff(points) / 2.0, []
+    for pt, power, left, right in zip(points, powers, np.append(far, half),
+                                      np.append(half, far)):
+        for h in filter(None, (-left, right)):  # no cells in a zero gap
+            # edges h, h/10, ..., 10^-_DEPTH: h * 10^-n alone could underflow
+            lg = math.log10(abs(h))
+            n = max(math.ceil(lg) + _DEPTH, 0)
+            e = np.copysign(10.0 ** (lg - np.arange(n + 1.0)), h)
+            e[0] = h
+            mid, hw = (e[:-1] + e[1:]) / 2.0, np.abs(e[:-1] - e[1:]) / 2.0
+            rule.append((np.full(_GLX.size * n + 1, pt),
+                         np.append(mid[:, None] + hw[:, None] * _GLX, e[-1]),
+                         np.append(hw[:, None] * _GLW,
+                                   abs(e[-1]) / (power + 1.0))))
+    return tuple(map(np.concatenate, zip(*rule)))
 
 
 def kink_power_integral(a: float, kappa: float,
@@ -284,7 +307,9 @@ def kink_power_integral(a: float, kappa: float,
                         ) -> float:
     """int_R |f(1,x)|^a dx for the kernel f(1,x) = |1-x|^kappa - |x|^kappa,
     each power weighted b_plus left of its kink and b_minus right of it.
-    Requires (kappa-1)*a < -1, so that the power-law tails converge.
+    Requires (kappa-1)*a < -1, so that the power-law tails converge.  The
+    graded rule breaks at the kinks and at the zero of f between them;
+    beyond _FAR, |f|^a = (b |kappa|)^a |x|^((kappa-1) a) (1 + O(1/x)).
     """
     bp, bm = side_weights or (1.0, 1.0)
     if kappa == 0.0:
@@ -293,17 +318,30 @@ def kink_power_integral(a: float, kappa: float,
     beta = -((kappa - 1.0) * a + 1.0)
     if beta <= 0.0:
         raise ValueError(f"tail diverges: (kappa-1)*a+1 = {-beta!r} >= 0")
-    return _kink_quad(
-        lambda x: np.abs(_power_diff(1.0, kappa, x, side_weights)) ** a, 1.0)
+    # f(1,x) changes sign where b_plus (1-x)^kappa = b_minus x^kappa
+    zero = [1.0 / (1.0 + (bm / bp) ** (1.0 / kappa))] if bp * bm > 0 else []
+    anchor, offset, weight = _graded_rule(
+        [0.0, *zero, 1.0], [kappa * a] * (2 + len(zero)), _FAR)
+    f = _power_diff(1.0, kappa, offset, side_weights, anchor)
+    return (float(np.sum(weight * np.abs(f) ** a))
+            + (abs(bp) ** a + abs(bm) ** a) * abs(kappa) ** a
+            * _FAR ** -beta / beta)
 
 
 def kappa_difference_integral(v: float, k1: float, k2: float,
                               side_weights=None) -> float:
     """int_R (f_k1(v,x) - f_k2(v,x))^2 dx: the kernel at time v under two
-    exponents kappa(u), with the side weights of kink_power_integral."""
-    return _kink_quad(
-        lambda x: (_power_diff(v, k1, x, side_weights)
-                   - _power_diff(v, k2, x, side_weights)) ** 2, v)
+    exponents kappa(u), with the side weights of kink_power_integral, on the
+    graded rule broken at the kinks.  The square falls off as x^(2k-2), so
+    the rule runs out to _FAR^(1/(1-2k)) (at most 1e300), beyond which about
+    1/_FAR of the integral lies."""
+    points = sorted({0.0, v})
+    anchor, offset, weight = _graded_rule(
+        points, [2.0 * min(k1, k2)] * len(points),
+        _FAR ** min(1.0 / (1.0 - 2.0 * max(k1, k2)), 12.5))
+    d = (_power_diff(v, k1, offset, side_weights, anchor)
+         - _power_diff(v, k2, offset, side_weights, anchor))
+    return float(np.sum(weight * d * d))
 
 
 def sigma_lmmm(alpha_t: float, H_t: float,
@@ -319,6 +357,24 @@ def sigma_lmmm(alpha_t: float, H_t: float,
 
 
 _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
+_NEAR = 0.25  # a band this close to a kink takes the graded rule, not GL-8
+
+
+def _far_bands(j0, tA, tB, kA, kB, s_sum, side_weights) -> float:
+    """Bands past j0 of pair_integral.  As x -> +-inf, fA fB = b^2 K |x|^q
+    (1 -+ c/|x|), b = b_minus, b_plus, so band j holds b^2 K (j^q - (q/2
+    +- c) j^(q-1)), which sums to Hurwitz zetas."""
+    bp, bm = side_weights or (1.0, 1.0)
+    q = kA + kB - 2.0
+    p = 2.0 * (s_sum - 1.0) + q
+    if p >= -1.0:
+        raise ValueError(f"band tail diverges: exponent {float(p)!r} >= -1 "
+                         "(finite only while 1/alpha + H < 3/2)")
+    z0, z1 = zeta(-p, j0 + 1.0), zeta(1.0 - p, j0 + 1.0)
+    c = ((kA - 1.0) * tA + (kB - 1.0) * tB) / 2.0  # K = kA kB tA tB
+    return kA * kB * tA * tB * _PI2_3 ** (s_sum - 1.0) * (
+        (bp * bp + bm * bm) * (z0 - q / 2.0 * z1)
+        + (bp * bp - bm * bm) * c * z1)
 
 
 def pair_integral(spec: ProcessSpec, tA: float, tB: float,
@@ -327,10 +383,10 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     s_sum = 1/alpha(tA) + 1/alpha(tB), as each series term carries its own
     w^(1/alpha): the Lebesgue integral of w^(s_sum-1) fA fB, band by band.
 
-    Band 1 is adaptive with the kinks as break points (fixed-node rules
-    leave errors that survive the A-B cancellation in covariance
-    differences), bands 2..4096 GL-8, and the far field beyond them a
-    Hurwitz zeta sum.
+    Band 1 is the last adaptive integral, with the kinks as break points:
+    the lmmm-holder benchmark is chosen for its cost, so it waits for a
+    re-targeted benchmark.  Bands 2..4096 are GL-8, or the graded rule
+    where a kink lies in a band or within _NEAR of it; then the far field.
     """
     if spec.tag == "levy":
         return min(tA, tB)
@@ -347,17 +403,20 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     total = _PI2_3 ** (s_sum - 1.0) * v1
     js = np.arange(2, j0 + 1, dtype=float)
     wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
-    for sign in (1.0, -1.0):
-        lo = np.where(sign > 0, js - 1.0, -js)
-        xs = lo[:, None] + 0.5 * (1.0 + _GLX8[None, :])
-        ws = 0.5 * _GLW8[None, :]
-        total += np.sum(wgt * np.sum(ws * fA(xs) * fB(xs), axis=1))
-    # far field: f ~ -b_minus*kappa*t*x^(kappa-1) as x -> +inf and
-    # f ~ b_plus*kappa*t*|x|^(kappa-1) as x -> -inf
-    bp, bm = spec.kernel.side_weights or (1.0, 1.0)
-    p = 2.0 * (s_sum - 1.0) + (kA + kB - 2.0)
-    if p >= -1.0:
-        raise ValueError(f"band tail diverges: exponent {float(p)!r} >= -1 "
-                         "(finite only while 1/alpha + H < 3/2)")
-    return total + ((bp * bp + bm * bm) * kA * kB * tA * tB
-                    * _PI2_3 ** (s_sum - 1.0) * zeta(-p, j0 + 1.0))
+    ws = spec.kernel.side_weights
+    for lo in (js - 1.0, -js):  # left ends of the bands on each side
+        mid = lo + 0.5
+        near = np.minimum(abs(mid - tA), abs(mid - tB)) < 0.5 + _NEAR
+        xs = lo[~near, None] + 0.5 * (1.0 + _GLX8)
+        total += np.sum(wgt[~near] * ((_power_diff(tA, kA, xs, ws)
+                                       * _power_diff(tB, kB, xs, ws))
+                                      @ (0.5 * _GLW8)))
+        for b in np.flatnonzero(near):
+            edges = sorted({lo[b], lo[b] + 1.0, *(t for t in (tA, tB)
+                                                  if lo[b] < t < lo[b] + 1.0)})
+            anchor, offset, weight = _graded_rule(
+                edges, [kA * (x == tA) + kB * (x == tB) for x in edges])
+            total += wgt[b] * np.sum(
+                weight * _power_diff(tA, kA, offset, ws, anchor)
+                * _power_diff(tB, kB, offset, ws, anchor))
+    return total + _far_bands(j0, tA, tB, kA, kB, s_sum, ws)

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from multistable.expr import FuncSpec
 from multistable.kernels import (_band_table, _bands_from_uniform,
-                                 _lmmm_sample, _power_diff, _psi1_tail,
-                                 kink_power_integral, levy_kernel,
+                                 _far_bands, _lmmm_sample, _power_diff,
+                                 _psi1_tail, kink_power_integral, levy_kernel,
                                  lmmm_kernel, make_process, pair_integral,
                                  sigma_lmmm)
 
@@ -302,13 +303,21 @@ class TestKinkIntegral:
     @pytest.mark.parametrize("a,H,weights,want", [
         (1.1, 0.1, (1.0, 1.0), 32.8033019073918),
         (1.2, 0.5, (1.0, 1.0), 2.797304207991819),
-        (1.2, 0.5, (1.0, 0.3), 2.362332634192698)])
+        (1.2, 0.5, (1.0, 0.3), 2.362332634192698),
+        (0.3, 0.5, (1.0, 1.0), 42.4383152379881)])
     def test_negative_kappa_against_mpmath(self, a, H, weights, want):
         # kappa = H - 1/a < 0: |f|^a is singular at both kinks
         ref = oracles.kink_integral_mpmath(a, H - 1.0 / a, weights)
         assert abs(ref / want - 1.0) < 1e-14
         got = kink_power_integral(a, H - 1.0 / a, weights)
         assert abs(got / ref - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("a,H", [(0.3, 0.5), (1.1, 0.1), (1.2, 0.5)])
+    def test_no_warning_where_kappa_a_nears_minus_one(self, a, H):
+        # the adaptive quadrature this rule replaced warned at the first two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kink_power_integral(a, H - 1.0 / a) > 0.0
 
     @pytest.mark.parametrize("a,kappa", [(1.7, 0.75 - 1.0 / 1.7),
                                          (2.0, 0.5 - 1.0 / 1.5), (1.5, 0.0)])
@@ -320,6 +329,17 @@ class TestKinkIntegral:
         a, kappa, c = 1.7, 0.75 - 1.0 / 1.7, 2.5
         got = kink_power_integral(a, kappa, (c, c))
         assert abs(got / (c ** a * kink_power_integral(a, kappa)) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("a,H", [(1.7, 0.75), (1.2, 0.5)])
+    def test_negative_side_weights(self, a, H):
+        # |f| is the same when both side weights flip sign, and the same
+        # again when only the other one is negative
+        kappa = H - 1.0 / a
+        want = kink_power_integral(a, kappa, (1.0, 0.3))
+        got = kink_power_integral(a, kappa, (-1.0, -0.3))
+        assert abs(got / want - 1.0) < 1e-13
+        assert (kink_power_integral(a, kappa, (1.0, -0.3))
+                == kink_power_integral(a, kappa, (-1.0, 0.3)))
 
     def test_one_sided_weights_against_direct_quadrature(self):
         # with b_minus = 0, f(1,x) = (1-x)^kappa on (0,1), 0 beyond x = 1,
@@ -368,6 +388,49 @@ class TestPairIntegral:
         spec = _lmmm_spec()
         v = pair_integral(spec, 0.5, 0.5, 2.0 / 1.7)
         assert v > 0.0
+
+    @pytest.mark.parametrize("tag,alpha,H,weights", [
+        ("lmmm", 1.7, 0.75, (1.0, 1.0)), ("lmmm", 1.6, 0.5, (1.0, 1.0)),
+        ("lfsm-control", 1.7, 0.75, (1.0, 0.3))])
+    @pytest.mark.parametrize("tA,tB,hi", [
+        (0.5, 0.5, 1.0), (0.3, 0.8, 1.0), (0.5, 0.5 + 2.0 ** -17, 1.0),
+        (0.05, 0.95, 1.0), (0.9, 1.0, 1.0), (1.0, 1.0, 1.0),
+        (1.5, 1.5, 3.0), (1.0, 2.0, 3.0), (2.5, 2.5, 3.0)])
+    def test_against_closed_form(self, tag, alpha, H, weights, tA, tB, hi):
+        # at s_sum = 1 the band weights drop out, and a constant kappa makes
+        # R_AB the covariance of a process with stationary increments and
+        # int f_t^2 = C t^(1+2 kappa); kinks at or next to a band edge
+        spec = make_process(tag, _fs(repr(alpha), (0.0, hi)),
+                            _fs("1", (0.0, hi)), _fs(repr(H), (0.0, hi)),
+                            (0.0, hi), 1.2, 1.9, *weights)
+        k = H - 1.0 / alpha
+        c = oracles.moving_average_l2(1.0, k, k, *weights)
+        want = 0.5 * c * (tA ** (1.0 + 2.0 * k) + tB ** (1.0 + 2.0 * k)
+                          - abs(tA - tB) ** (1.0 + 2.0 * k))
+        assert abs(pair_integral(spec, tA, tB, 1.0) / want - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("weights,tA,tB", [
+        ((1.0, 1.0), 0.5, 0.5 + 2.0 ** -10), ((1.0, 0.3), 0.3, 0.9),
+        ((0.2, 1.0), 1.0, 1.0)])
+    def test_far_field_against_explicit_bands(self, weights, tA, tB):
+        # bands 4097..2^18 by GL-8, then the same far field from 2^18 on;
+        # the leading zeta term alone is off by 3e-7 to 1.3e-6 of R here
+        s_sum, k, j0, j1 = 2.0 / 1.7, 0.75 - 1.0 / 1.7, 4096, 2 ** 18
+        gx, gw = np.polynomial.legendre.leggauss(8)
+        want = _far_bands(j1, tA, tB, k, k, s_sum, weights)
+        for start in range(j0 + 1, j1 + 1, 2 ** 15):
+            js = np.arange(start, min(start + 2 ** 15, j1 + 1), dtype=float)
+            for lo in (js - 1.0, -js):
+                x = lo[:, None] + 0.5 * (1.0 + gx)
+                f = (_power_diff(tA, k, x, weights)
+                     * _power_diff(tB, k, x, weights))
+                want += np.sum((math.pi ** 2 / 3.0 * js ** 2) ** (s_sum - 1.0)
+                               * (f @ (0.5 * gw)))
+        spec = make_process("lfsm-control", _fs("1.7"), _fs("1"),
+                            _fs("0.75"), (0.0, 1.0), 1.2, 1.9, *weights)
+        r = pair_integral(spec, tA, tB, s_sum)
+        got = _far_bands(j0, tA, tB, k, k, s_sum, weights)
+        assert abs(got - want) < 1e-9 * r
 
     def test_divergent_kink_rejected(self):
         # kappa = 0.1 - 1/1.1 = -0.81: |t-x|^(2 kappa) is not integrable

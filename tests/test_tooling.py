@@ -69,6 +69,13 @@ def test_traced_child_run(tmp_path, command):
                 == layers["kernels.pair_integral.calls"] == 6)
 
 
+def test_traced_holder_next_to_band_two(tmp_path):
+    # grid 0.9375, 1.0, 0.96875: every pair integral grades band 2
+    layers = _traced_run(tmp_path, "holder", {**CASES["holder"], "t": 0.9375})
+    assert (layers["engine.tail_covariance.pairs"]
+            == layers["kernels.pair_integral.calls"] == 6)
+
+
 def test_traced_lfsm_control_path(tmp_path):
     # lfsm-control is the lmmm kernel with side weights: the tracer wraps it
     # through make_process like any other kernel
