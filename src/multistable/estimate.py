@@ -1,6 +1,6 @@
 """Statistical layer: increment moments, scaling fits, pathwise Holder
-slopes, small-ball probes, increment characteristic functions, and the
-localisability condition probes.
+slopes, increment characteristic functions, and the localisability
+condition probes.
 
 Monte Carlo estimators draw one fresh environment per path, built and
 evaluated one at a time by the engine.  Because each environment is keyed by
@@ -35,7 +35,6 @@ __all__ = [
     "MomentEstimate",
     "ScalingFit",
     "HolderEstimate",
-    "SmallBallReport",
     "ECFReport",
     "KSResult",
     "diagonal_samples",
@@ -43,7 +42,6 @@ __all__ = [
     "theoretical_scaling",
     "fit_scaling",
     "holder_pathwise",
-    "small_ball_probe",
     "levy_increment_cf",
     "ecf_compare",
     "condition_probe",
@@ -282,40 +280,6 @@ def _holder_theory(spec: ProcessSpec, t: float,
     if alpha_regularity is not None and alpha_regularity < 1.0:
         return None, "alpha(t) >= 1 with rough alpha: no established target"
     return 1.0 / a, "1/alpha(t) for smooth alpha"
-
-
-# ---------------------------------------------------------------------------
-# small-ball probe
-
-
-@dataclass(frozen=True)
-class SmallBallReport:
-    t: float
-    r_list: tuple[float, ...]
-    x_list: tuple[float, ...]
-    probs: np.ndarray  # P(|dY| < x * r^h), shape (len(r), len(x))
-    k_hat: float       # max prob / x over the table
-
-
-def small_ball_probe(spec: ProcessSpec, t: float, r_list: Sequence[float],
-                     x_list: Sequence[float], m_paths: int, n_terms: int,
-                     seed: int, *, tail: str = "gauss",
-                     workers: int = 1) -> SmallBallReport:
-    """Empirical check that P(|Y(t+r)-Y(t)| < x r^h) stays O(x)."""
-    r_arr = np.asarray(r_list, dtype=float)
-    x_arr = np.asarray(x_list, dtype=float)
-    grid = np.concatenate(([t], t + r_arr))
-    vals = diagonal_samples(spec, grid, m_paths, n_terms, seed, tail=tail,
-                            workers=workers)
-    h = spec.h(t)
-    probs = np.empty((r_arr.shape[0], x_arr.shape[0]))
-    for i, r in enumerate(r_arr):
-        d = np.abs(vals[:, i + 1] - vals[:, 0]) / r ** h
-        probs[i] = np.mean(d[:, None] < x_arr[None, :], axis=0)
-    k_hat = float(np.max(probs / x_arr[None, :]))
-    return SmallBallReport(t=t, r_list=tuple(map(float, r_list)),
-                           x_list=tuple(map(float, x_list)), probs=probs,
-                           k_hat=k_hat)
 
 
 # ---------------------------------------------------------------------------

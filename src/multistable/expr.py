@@ -2,7 +2,8 @@
 
 Configuration files define the stability index, the Hurst function and the
 scale function as strings like ``"1.5+0.3*sin(2*pi*t)"``.  This module
-tokenizes, parses, evaluates and pretty-prints those expressions.
+tokenizes and parses those expressions, and compiles each parsed tree
+once into nested Python closures, one per node, that a run then calls.
 
 Grammar, in decreasing binding power:
 
@@ -10,7 +11,7 @@ Grammar, in decreasing binding power:
 
 so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  One table holds
 the binary operators (``_BINARY``) and one the closed function set
-(``_FUNCTIONS``); the tokenizer, the parser, evaluation and printing all
+(``_FUNCTIONS``); the tokenizer, the parser and the compiled closures all
 read them.  ``pi`` and ``e`` are the only named constants and ``t`` the only
 variable.  Digits and names are ASCII.
 """
@@ -24,7 +25,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "FuncSpec",
     "parse_expr",
     "eval_expr",
-    "to_source",
 ]
 
 
@@ -197,7 +197,7 @@ def _tokenize(source: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Pratt parser
 
-_MAX_DEPTH = 100  # evaluation and printing recurse over the AST
+_MAX_DEPTH = 100  # compilation and the compiled closures recurse over the AST
 
 
 class _Parser:
@@ -288,65 +288,49 @@ def parse_expr(source: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# compilation
+
+
+def _compile_node(ast: ExprAst) -> Callable[[float], float]:
+    """One closure per node, applying the node's table function to its
+    children's values, left before right."""
+    if isinstance(ast, Num):
+        value = ast.value
+        return lambda t: value
+    if isinstance(ast, Var):
+        return lambda t: t
+    if isinstance(ast, Neg):
+        child = _compile_node(ast.child)
+        return lambda t: -child(t)
+    if isinstance(ast, BinOp):
+        fn = _BINARY[ast.op][2]
+        left, right = _compile_node(ast.left), _compile_node(ast.right)
+        return lambda t: fn(left(t), right(t))
+    fn = _FUNCTIONS[ast.name][1]
+    if len(ast.args) == 1:
+        arg = _compile_node(ast.args[0])
+        return lambda t: fn(arg(t))
+    first, second = map(_compile_node, ast.args)  # every other arity is 2
+    return lambda t: fn(first(t), second(t))
+
+
+def _compile(ast: ExprAst) -> Callable[[float], float]:
+    """``ast`` as a function of ``t``; any non-finite value raises
+    :class:`EvalError`."""
+    node = _compile_node(ast)
+
+    def evaluate(t: float) -> float:
+        value = node(float(t))
+        if not math.isfinite(value):
+            raise EvalError(f"non-finite result {value!r} at t={t!r}")
+        return value
+
+    return evaluate
 
 
 def eval_expr(ast: ExprAst, t: float) -> float:
     """Evaluate ``ast`` at ``t``; any non-finite value raises :class:`EvalError`."""
-    value = _eval(ast, float(t))
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite result {value!r} at t={t!r}")
-    return value
-
-
-def _eval(ast: ExprAst, t: float) -> float:
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Var):
-        return t
-    if isinstance(ast, Neg):
-        return -_eval(ast.child, t)
-    if isinstance(ast, BinOp):
-        return _BINARY[ast.op][2](_eval(ast.left, t), _eval(ast.right, t))
-    return _FUNCTIONS[ast.name][1](*[_eval(child, t) for child in ast.args])
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-def _prec(ast: ExprAst) -> int:
-    if isinstance(ast, BinOp):
-        return _BINARY[ast.op][0]
-    if isinstance(ast, Neg):
-        return _BP_NEG
-    if isinstance(ast, Num) and (ast.value < 0.0 or math.copysign(1.0, ast.value) < 0):
-        return _BP_NEG  # prints with a leading minus sign
-    return 100
-
-
-def to_source(ast: ExprAst) -> str:
-    """Render an AST back to parseable text (round-trips exactly)."""
-    if isinstance(ast, Num):
-        return repr(ast.value)
-    if isinstance(ast, Var):
-        return "t"
-    if isinstance(ast, Neg):
-        inner = to_source(ast.child)
-        if _prec(ast.child) < _BP_NEG or isinstance(ast.child, Neg):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(ast, BinOp):
-        lhs, rhs = to_source(ast.left), to_source(ast.right)
-        p, right_assoc, _ = _BINARY[ast.op]
-        # parenthesize an operand below the operator's own precedence, and
-        # one of equal precedence on the side the operator does not group to
-        if _prec(ast.left) < p or (right_assoc and _prec(ast.left) == p):
-            lhs = f"({lhs})"
-        if _prec(ast.right) < p or (not right_assoc
-                                    and _prec(ast.right) == p):
-            rhs = f"({rhs})"
-        return f"{lhs}{ast.op}{rhs}"
-    return f"{ast.name}({','.join(to_source(a) for a in ast.args)})"
+    return _compile(ast)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +348,15 @@ class FuncSpec:
     # an array, so it takes no part in == and hash
     times: np.ndarray = field(default_factory=lambda: np.empty(0),
                               compare=False, repr=False)
+    # compiled once here, not on first use: runs call it from several threads
+    compiled: Callable[[float], float] = field(init=False, compare=False,
+                                               repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", _compile(self.ast))
 
     def __call__(self, t: float) -> float:
-        return eval_expr(self.ast, t)
+        return self.compiled(t)
 
     @classmethod
     def parse(cls, source: str, domain: tuple[float, float],
@@ -387,7 +377,7 @@ class FuncSpec:
         values = np.empty(n + self.times.shape[0])
         for i, t in enumerate(itertools.chain(grid, map(float, self.times))):
             try:
-                values[i] = eval_expr(self.ast, t)
+                values[i] = self.compiled(t)
             except EvalError as exc:
                 raise EvalError(f"evaluation failed at t={t!r}: "
                                 f"{exc}") from exc

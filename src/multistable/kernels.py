@@ -147,10 +147,10 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     the kinks where the direct difference cancels catastrophically.  Side
     weights (b_plus, b_minus) scale each power by b_plus left of its kink
     and by b_minus right of it.  With an anchor, x is the offset from it."""
-    shape, x = np.shape(x), np.ravel(x)
+    shape, x = x.shape, x.ravel()
     tx, x = (t - x, x) if anchor is None else ((t - anchor) - x, anchor + x)
     ax = np.abs(x)
-    far = np.flatnonzero(ax > 8.0 * (1.0 + abs(t)))
+    far = (ax > 8.0 * (1.0 + abs(t))).nonzero()[0]
     if weights is None:
         out = np.abs(tx) ** k - ax ** k
     else:
@@ -398,8 +398,13 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     fA = lambda x: spec.kernel.evaluate(tA, tA, x)
     fB = lambda x: spec.kernel.evaluate(tB, tB, x)
     pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
-    v1 = quad(lambda x: float(fA(np.array([x]))[0] * fB(np.array([x]))[0]),
-              -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12, limit=600)[0]
+
+    def band1(x: float) -> float:
+        xs = np.array([x])
+        return float(fA(xs)[0] * fB(xs)[0])
+
+    v1 = quad(band1, -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
+              limit=600)[0]
     total = _PI2_3 ** (s_sum - 1.0) * v1
     js = np.arange(2, j0 + 1, dtype=float)
     wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)

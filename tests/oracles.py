@@ -5,7 +5,8 @@ production formula cannot vouch for itself.  Each oracle follows a different
 route than the code it checks: direct oscillatory quadrature instead of
 gamma-function closed forms, plain segment sums instead of the dip-aware
 integrator, stratified Monte Carlo and Fourier closed forms instead of
-kink-split quadrature.
+kink-split quadrature, a walk over the expression tree instead of its
+compiled closures.
 """
 
 import math
@@ -196,6 +197,27 @@ def moving_average_l2(t: float, k1: float, k2: float, b_plus: float = 1.0,
              - 2.0 * b_plus * b_minus * math.cos(math.pi * s / 2))
     return (math.gamma(k1 + 1.0) * math.gamma(k2 + 1.0) * t ** (1.0 + s)
             * sides / (math.gamma(2.0 + s) * math.cos(math.pi * s / 2)))
+
+
+def eval_tree(ast, t: float, binary: dict, functions: dict) -> float:
+    """Value of an expression tree at t by recursion over its nodes, left
+    operand first: the reference the compiled expressions must match bit
+    for bit.  Nodes are told apart by class name; the caller passes the
+    operator table (symbol -> (..., function)) and the function table
+    (name -> (arity, function)), so both apply the same guarded functions.
+    """
+    kind = type(ast).__name__
+    if kind == "Num":
+        return ast.value
+    if kind == "Var":
+        return t
+    if kind == "Neg":
+        return -eval_tree(ast.child, t, binary, functions)
+    if kind == "BinOp":
+        return binary[ast.op][-1](eval_tree(ast.left, t, binary, functions),
+                                  eval_tree(ast.right, t, binary, functions))
+    return functions[ast.name][1](*[eval_tree(child, t, binary, functions)
+                                    for child in ast.args])
 
 
 def cauchy_cdf(x: np.ndarray) -> np.ndarray:

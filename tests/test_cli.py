@@ -258,13 +258,17 @@ def test_level_family_length_is_capped(monkeypatch):
 ])
 def test_build_spec_evaluates_each_function_once(monkeypatch, cfg, calls):
     count = [0]
-    evaluate = expr.eval_expr
+    compile_ast = expr._compile
 
-    def counted(ast, t):
-        count[0] += 1
-        return evaluate(ast, t)
+    def counted_compile(ast):
+        compiled = compile_ast(ast)
 
-    monkeypatch.setattr(expr, "eval_expr", counted)
+        def counted(t):
+            count[0] += 1
+            return compiled(t)
+        return counted
+
+    monkeypatch.setattr(expr, "_compile", counted_compile)
     build_spec(cfg)
     assert count[0] == calls
 

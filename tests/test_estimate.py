@@ -9,8 +9,7 @@ from multistable.estimate import (MomentEstimate, condition_probe,
                                   diagonal_samples, ecf_compare,
                                   estimate_increment_moments, fit_scaling,
                                   holder_pathwise, ks_two_sample,
-                                  levy_increment_cf, small_ball_probe,
-                                  theoretical_scaling)
+                                  levy_increment_cf, theoretical_scaling)
 from multistable.engine import build_environment, eval_diagonal_path
 from multistable.expr import FuncSpec
 from multistable.kernels import (kink_power_integral, lmmm_kernel,
@@ -349,19 +348,6 @@ class TestConditionProbes:
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValueError, match="C99"):
             condition_probe(_levy_spec(), "C99", 0.3, [0.01])
-
-
-class TestSmallBall:
-    def test_probabilities_behave(self):
-        spec = _levy_spec(alpha="1.5", c=0.4)
-        rep = small_ball_probe(spec, 0.4, [2.0 ** -5, 2.0 ** -7],
-                               [0.25, 0.5, 1.0], m_paths=200, n_terms=200,
-                               seed=6)
-        p = np.asarray(rep.probs)
-        assert np.all(p >= 0.0) and np.all(p <= 1.0)
-        # monotone in the ball radius within each r row
-        assert np.all(np.diff(p, axis=1) >= 0.0)
-        assert rep.k_hat > 0.0
 
 
 class TestKsTwoSample:

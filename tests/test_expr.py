@@ -1,14 +1,16 @@
 import math
+import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multistable import expr
 from multistable.expr import (BinOp, Call, EvalError, FuncSpec, Neg, Num,
-                              ParseError, Var, eval_expr, parse_expr,
-                              to_source)
+                              ParseError, Var, eval_expr, parse_expr)
+
+import oracles
 
 
 def ev(src, t=0.0):
@@ -111,16 +113,15 @@ class TestParseErrors:
         ("1" + "+1" * 3000, 198),
     ])
     def test_nesting_depth_is_capped(self, src, offset):
-        # evaluation and printing recurse over the tree, so a deep one
-        # must stop here instead of in a RecursionError
+        # compilation and the compiled closures recurse over the tree, so a
+        # deep one must stop here instead of in a RecursionError
         with pytest.raises(ParseError, match="deeper") as exc:
             parse_expr(src)
         assert exc.value.offset == offset
 
     def test_nesting_below_the_cap_parses(self):
         src = "1" + "+1" * 40 + "+" + "(" * 45 + "t" + ")" * 45
-        assert to_source(parse_expr(src)) and eval_expr(parse_expr(src),
-                                                        2.0) == 43.0
+        assert eval_expr(parse_expr(src), 2.0) == 43.0
 
 
 class TestEvalErrors:
@@ -165,8 +166,8 @@ class TestEvalErrors:
                 ev(src)
 
 
-# random ASTs for the print/parse fixpoint; weights keep trees small enough
-# to evaluate but deep enough to exercise every precedence interaction
+# random ASTs for the compiled evaluator; weights keep trees small enough
+# to evaluate but deep enough to mix every node kind
 _leaf = st.one_of(
     st.builds(Num, st.floats(min_value=-4.0, max_value=4.0,
                              allow_nan=False, allow_infinity=False)),
@@ -188,28 +189,38 @@ def _node(children):
 _asts = st.recursive(_leaf, _node, max_leaves=12)
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# both operands fail, each with its own message: the left one must win
+_TWO_FAILURES = (BinOp("/", Num(1.0), Num(0.0)),
+                 BinOp("^", Num(-2.0), Num(0.5)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(ast=_asts, t=st.floats(min_value=-2.0, max_value=2.0,
                               allow_nan=False))
-def test_print_parse_fixpoint(ast, t):
-    """to_source must emit a string whose reparse evaluates identically."""
-    src = to_source(ast)
-    reparsed = parse_expr(src)
+@example(ast=BinOp("+", *_TWO_FAILURES), t=0.0)
+@example(ast=Call("max", _TWO_FAILURES[::-1]), t=0.0)
+@example(ast=Neg(BinOp("*", Var(), Num(0.0))), t=1.0)
+def test_compiled_matches_the_tree_walk(ast, t):
+    """The compiled closures return the tree walk's float bit for bit, sign
+    of zero included, and raise the same EvalError on the same inputs."""
     try:
-        want = eval_expr(ast, t)
-    except EvalError:
-        with pytest.raises(EvalError):
-            eval_expr(reparsed, t)
+        want = oracles.eval_tree(ast, float(t), expr._BINARY,
+                                 expr._FUNCTIONS)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
+            eval_expr(ast, t)
+        assert str(got.value) == str(exc)
         return
-    got = eval_expr(reparsed, t)
-    assert got == want or math.isclose(got, want, rel_tol=0, abs_tol=0)
-
-
-def test_to_source_negative_literal_under_power():
-    # a negative literal must be parenthesised under ^, else the sign would
-    # reparse as a lower-precedence unary minus
-    ast = BinOp("^", Num(-1.5), Num(2.0))
-    assert eval_expr(parse_expr(to_source(ast)), 0.0) == eval_expr(ast, 0.0)
+    if not math.isfinite(want):
+        with pytest.raises(EvalError) as got:
+            eval_expr(ast, t)
+        assert str(got.value) == f"non-finite result {want!r} at t={t!r}"
+        return
+    assert _bits(eval_expr(ast, t)) == _bits(want)
 
 
 class TestFuncSpec:

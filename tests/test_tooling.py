@@ -5,9 +5,11 @@ renamed or removed function makes a traced benchmark run stop.  Each case
 runs one tiny traced CLI job through perfbench/child.py in a fresh
 interpreter, as the benchmark does.  The benchmark's workload configs must
 also pass the CLI's config check, or a tightened schema would turn a
-benchmark run into exit 2.
+benchmark run into exit 2, and their model functions must keep the values
+pinned below at every time the workload evaluates them.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -91,3 +93,38 @@ def test_traced_lfsm_control_path(tmp_path):
                          + sorted(CASES.items()))
 def test_benchmark_configs_pass_the_config_check(command, cfg):
     check_config(cfg, command)
+
+
+# sha256 of grid_values (the 257-point domain grid, then the run's times)
+GRID_VALUES_SHA256 = {
+    ("levy-moments", "alpha"):
+        "fb95679868a6cb30299baf35154c5c425ee0e2d92c3c78d2e83bd1acda826ff4",
+    ("levy-moments", "b"):
+        "ee1c41c980114f148e0d56c022682b41b43941273efd60469215ef8705850f0b",
+    ("lmmm-moments", "alpha"):
+        "da4e5a864f750fce6e6a1e28a8fc10d211da5469132642e5981a81b0283db1a0",
+    ("lmmm-moments", "b"):
+        "ee1c41c980114f148e0d56c022682b41b43941273efd60469215ef8705850f0b",
+    ("lmmm-moments", "H"):
+        "27c1a10f72051999d75aac21e7d1e6b5a0f135dd036f22aedb613646e83ad94d",
+    ("lmmm-holder", "alpha"):
+        "21b55d293729450449b1a67b3ed071c5cfaa864766694d9542614381ee3d3c28",
+    ("lmmm-holder", "b"):
+        "3d7b0c616d264c0b2f1dcdc6f5843d36b6213fdab1faa239d116660841ecff5e",
+    ("lmmm-holder", "H"):
+        "796a29751e0e7ca2e22395f6aded2b7c73a03957d15a3008011e4339ae329029",
+    ("lmmm-path", "alpha"):
+        "51dae7b3483a4e46ae8aa0a6ff0dc77e348a285a8d8952e5a73805ba328eae66",
+    ("lmmm-path", "b"):
+        "e97614fb64add6b926926d69451a6dece3feed9d6b92277c741cd4c4fc020fcf",
+    ("lmmm-path", "H"):
+        "0f0102ba981c22d555a3628026be1c4be4e8e844822dee88d9a4a97755e36ce0",
+}
+
+
+@pytest.mark.parametrize("workload,key", sorted(GRID_VALUES_SHA256))
+def test_benchmark_model_values_are_pinned(workload, key):
+    w = WORKLOADS[workload]
+    func = getattr(check_config(w.config, w.command)["spec"], key)
+    digest = hashlib.sha256(func.grid_values.tobytes()).hexdigest()
+    assert digest == GRID_VALUES_SHA256[workload, key]
