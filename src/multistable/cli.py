@@ -27,13 +27,11 @@ import json
 import math
 import sys
 import time
-import warnings
 from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 from scipy.special import chdtr, chdtrc, ndtri
 
 from . import __version__
@@ -43,8 +41,7 @@ from .estimate import (diagonal_samples, ecf_compare,
                        holder_pathwise, ks_two_sample)
 from .expr import ExprError, FuncSpec
 from .kernels import ProcessSpec, make_process, sigma_lmmm
-from .stable import (QuadratureConfig, c_alpha, cms_sample,
-                     sin2_phase_integral)
+from .stable import HALF_PERIODS, c_alpha, cms_sample, sin2_phase_integral
 
 __all__ = ["main", "cmd_path", "cmd_moments", "cmd_holder", "cmd_verify",
            "build_spec", "check_config", "SCHEMA", "ConfigError"]
@@ -480,14 +477,11 @@ def cmd_holder(cfg: dict, run: dict, args) -> int:
 def _verify_checks(run: dict, args) -> list[tuple]:
     """(name, value, threshold, false-alarm rate, sample sizes, function
     tested) per check; a check passes while value <= threshold."""
-    quad = None
-    if run["fault_loose_quad"]:
-        quad = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-2,
-                                max_subdivisions=1, half_periods=8)
+    half = 8 if run["fault_loose_quad"] else HALF_PERIODS
     scale, seed = run["fault_c_alpha_scale"], run["seed"]
 
     # single-exponent phase integrals against q^eta 2^(eta-1) / C_eta
-    worst = max(abs(sin2_phase_integral(0.0, 1.0 / eta, q, 1.0 / eta, quad)
+    worst = max(abs(sin2_phase_integral(0.0, 1.0 / eta, q, 1.0 / eta, half)
                     * c_alpha(eta) / (q ** eta * 2.0 ** (eta - 1.0)) - 1.0)
                 for eta in np.linspace(0.05, 1.95, 20) for q in (0.3, 1, 2.5))
     checks = [("quadrature-identity", worst, 1e-12, 0.0, {"eta": 20, "q": 3},
@@ -515,7 +509,7 @@ def _verify_checks(run: dict, args) -> list[tuple]:
                         "stability_bounds": [1.1, 1.9]})
     m, n = run["verify_cf_m"], run["verify_cf_n_terms"]
     rep = ecf_compare(vspec, 0.3, 2.0 ** -6, np.linspace(0.0, 4.0, 9), m, n,
-                      seed, workers=args.workers, quad=quad)
+                      seed, workers=args.workers, half_periods=half)
     thr = -ndtri(0.01 / 16.0) * max(rep.sd) / math.sqrt(m)
     checks.append(("cf-gap", rep.sup_gap, thr, 0.01, {"m": m, "n_terms": n},
                    "estimate.levy_increment_cf"))
@@ -540,13 +534,9 @@ _Check = namedtuple("_Check", "check value threshold status false_alarm_rate "
 
 def cmd_verify(cfg: dict, run: dict, args) -> int:
     started = time.monotonic()
-    with warnings.catch_warnings():
-        # deliberate fault injection drives quadrature past its budget;
-        # the report line is the signal, not the scipy chatter
-        warnings.simplefilter("ignore", IntegrationWarning)
-        checks = [_Check(name, float(val), float(thr),
-                         "pass" if val <= thr else "FAIL", *more)
-                  for name, val, thr, *more in _verify_checks(run, args)]
+    checks = [_Check(name, float(val), float(thr),
+                     "pass" if val <= thr else "FAIL", *more)
+              for name, val, thr, *more in _verify_checks(run, args)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "verify.csv", _Check._fields[:4],

@@ -28,7 +28,7 @@ from .engine import (_diagonal_values, _grid_scales, _substream,
                      build_environment, tail_covariance, tail_draw, tail_sqrt)
 from .kernels import (ProcessSpec, kappa_difference_integral,
                       kink_power_integral, sigma_lmmm)
-from .stable import (QuadratureConfig, c_alpha, sas_abs_moment,
+from .stable import (HALF_PERIODS, c_alpha, sas_abs_moment,
                      sin2_phase_integral)
 
 __all__ = [
@@ -287,10 +287,11 @@ def _holder_theory(spec: ProcessSpec, t: float,
 
 
 def levy_increment_cf(spec: ProcessSpec, t: float, r: float, v: float,
-                      quad: Optional[QuadratureConfig] = None) -> float:
+                      half_periods: int = HALF_PERIODS) -> float:
     """Characteristic function of (Y(t+r) - Y(t)) / r^h(t) for the indicator
     kernel, via the two phase integrals: points below t carry both stability
-    exponents, points in (t, t+r] only the right one."""
+    exponents, points in (t, t+r] only the right one.  half_periods is
+    sin2_phase_integral's Euler-sum length."""
     if spec.tag != "levy":
         raise ValueError(f"increment cf requires the indicator kernel, "
                          f"got {spec.tag!r}")
@@ -301,7 +302,7 @@ def levy_increment_cf(spec: ProcessSpec, t: float, r: float, v: float,
     scale = 2.0 * r ** s1
     q1 = abs(v) * abs(spec.b(t)) * c_alpha(a1) ** s1 / scale
     q2 = abs(v) * abs(spec.b(t + r)) * c_alpha(a2) ** s2 / scale
-    i_both = sin2_phase_integral(q1, s1, q2, s2, quad)
+    i_both = sin2_phase_integral(q1, s1, q2, s2, half_periods)
     # a2 q2^a2 int u^(-a2-1) sin^2 u du, in closed form
     i_single = q2 ** a2 * 2.0 ** (a2 - 1.0) / c_alpha(a2)
     return math.exp(-2.0 * (t * i_both + r * i_single))
@@ -321,7 +322,7 @@ class ECFReport:
 def ecf_compare(spec: ProcessSpec, t: float, r: float,
                 v_grid: Sequence[float], m_paths: int, n_terms: int,
                 seed: int, *, tail: str = "gauss", workers: int = 1,
-                quad: Optional[QuadratureConfig] = None) -> ECFReport:
+                half_periods: int = HALF_PERIODS) -> ECFReport:
     """Empirical cos-transform of normalized increments against the numeric
     characteristic function on a v grid."""
     vals = diagonal_samples(spec, [t, t + r], m_paths, n_terms, seed,
@@ -332,7 +333,7 @@ def ecf_compare(spec: ProcessSpec, t: float, r: float,
         cos_vd = np.cos(v * d)
         emp.append(float(np.mean(cos_vd)))
         sd.append(float(np.std(cos_vd, ddof=1)))
-        num.append(levy_increment_cf(spec, t, r, float(v), quad))
+        num.append(levy_increment_cf(spec, t, r, float(v), half_periods))
     gap = float(np.max(np.abs(np.asarray(emp) - np.asarray(num))))
     return ECFReport(t=t, r=r, v_grid=tuple(map(float, v_grid)),
                      empirical=tuple(emp), numeric=tuple(num), sd=tuple(sd),

@@ -64,7 +64,12 @@ def phase_integral_mpmath(q1: float, s1: float, q2: float, s2: float,
     that is not identically zero: tanh-sinh pieces between the points where
     the phase crosses a multiple of pi/2, then sin^2 = (1 - cos 2 psi)/2
     and mpmath's oscillatory summation over the zeros of cos(2 psi) on the
-    rising branch."""
+    rising branch.
+
+    A dip of depth D at zc whose stationary-phase share sqrt(pi/(abD))/zc
+    is below 1e-30 of 1/z at the start of the summation is summed on its
+    descending branch instead, as if it fell forever: its bottom, and the
+    rising branch beyond it, lie beyond 30 digits."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -89,6 +94,33 @@ def phase_integral_mpmath(q1: float, s1: float, q2: float, s2: float,
             return cross(level, lo, hi)
 
         quarter = mp.pi / 2
+
+        def falling(level):
+            # the descending branch meets level within zc e^-k .. zc e^-k/2
+            k = 1
+            while psi(zc * mp.exp(-k)) < level:
+                k *= 2
+            return cross(level, zc * mp.exp(-k),
+                         zc * mp.exp(-k / 2) if k > 1 else zc)
+
+        # f ~ z^(2s - 2) at 0 with s the leading exponent; z = u^p with
+        # p = 1/(2s - 1) makes the first piece bounded
+        p = 1 / (2 * (s1 if q1 > 0 else s2) - 1)
+
+        def head(cuts):
+            return (mp.quad(lambda u: f(u ** p) * p * u ** (p - 1),
+                            [0, cuts[1] ** (1 / p)]) + mp.quad(f, cuts[1:]))
+
+        if zc > 0 and psi(zc) < -8 * quarter:
+            share = mp.sqrt(mp.pi / (s1 * s2 * -psi(zc))) / zc
+            z0 = falling(-7.5 * quarter)
+            if share * z0 < mp.mpf(10) ** -30:
+                cuts = [mp.mpf(0)] + [falling(-j * quarter)
+                                      for j in range(1, 8)] + [z0]
+                tail = mp.quadosc(
+                    lambda z: mp.cos(2 * psi(z)) / z ** 2, [z0, mp.inf],
+                    zeros=lambda n: falling(-(7.5 + n) * quarter))
+                return float(head(cuts) + 1 / (2 * z0) - tail / 2)
         cuts = [mp.mpf(0)]
         j = 1
         while psi(zc) < -j * quarter:
@@ -101,15 +133,10 @@ def phase_integral_mpmath(q1: float, s1: float, q2: float, s2: float,
                  for j in range(int(mp.floor(psi(zc) / quarter)) + 1, 8)]
         z0 = rising(7.5 * quarter)
         cuts.append(z0)
-        # f ~ z^(2s - 2) at 0 with s the leading exponent; z = u^p with
-        # p = 1/(2s - 1) makes the first piece bounded
-        p = 1 / (2 * (s1 if q1 > 0 else s2) - 1)
-        head = (mp.quad(lambda u: f(u ** p) * p * u ** (p - 1),
-                        [0, cuts[1] ** (1 / p)]) + mp.quad(f, cuts[1:]))
         tail = mp.quadosc(lambda z: mp.cos(2 * psi(z)) / z ** 2,
                           [z0, mp.inf],
                           zeros=lambda n: rising((7.5 + n) * quarter))
-        return float(head + 1 / (2 * z0) - tail / 2)
+        return float(head(cuts) + 1 / (2 * z0) - tail / 2)
 
 
 def kink_integral_mc(alpha: float, H: float, n: int = 400000,

@@ -544,6 +544,7 @@ class TestHolderCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.filterwarnings("error")
     def test_clean_run_passes(self, tmp_path, capsys):
         assert _run(tmp_path, dict(VERIFY_SIZES), "verify") == 0
         lines = (tmp_path / "out" / "verify.csv").read_text().splitlines()
@@ -553,6 +554,7 @@ class TestVerifyCommand:
         console = capsys.readouterr().out
         assert console.count("[PASS]") == 5
 
+    @pytest.mark.filterwarnings("error")
     def test_loose_quadrature_fault_is_caught(self, tmp_path, capsys):
         cfg = dict(VERIFY_SIZES, fault_loose_quad=True)
         assert _run(tmp_path, cfg, "verify") == 4

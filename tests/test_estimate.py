@@ -14,7 +14,7 @@ from multistable.engine import build_environment, eval_diagonal_path
 from multistable.expr import FuncSpec
 from multistable.kernels import (kink_power_integral, lmmm_kernel,
                                  make_process, sigma_lmmm)
-from multistable.stable import sas_abs_moment
+from multistable.stable import c_alpha, sas_abs_moment
 
 import oracles
 
@@ -254,6 +254,26 @@ class TestIncrementCf:
         phi = [levy_increment_cf(spec, 0.3, 2.0 ** -6, float(v)) for v in vs]
         assert all(a >= b for a, b in zip(phi, phi[1:]))
         assert phi[0] == 1.0 and phi[-1] < 0.2
+
+    @pytest.mark.parametrize("v", [0.5, 4.0])
+    def test_small_eps_matches_mpmath(self, v):
+        # at eps 2^-10 the exponents 1/alpha(t) and 1/alpha(t + eps) differ
+        # by 1.8e-4, so the two terms of the phase nearly cancel
+        pytest.importorskip("mpmath")
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)", c=1.1, d=1.9)
+        t, r = 0.3, 2.0 ** -10
+        s1, s2 = 1.0 / spec.alpha(t), 1.0 / spec.alpha(t + r)
+        q1 = v * c_alpha(1.0 / s1) ** s1 / (2.0 * r ** s1)
+        q2 = v * c_alpha(1.0 / s2) ** s2 / (2.0 * r ** s1)
+        want = math.exp(-2.0 * (
+            t * oracles.phase_integral_mpmath(q1, s1, q2, s2)
+            + r * oracles.phase_integral_mpmath(0.0, s2, q2, s2)))
+        got = levy_increment_cf(spec, t, r, v)
+        assert abs(got / want - 1.0) <= 1e-12
+
+    def test_small_eps_far_in_v(self):
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)", c=1.1, d=1.9)
+        assert 0.0 <= levy_increment_cf(spec, 0.3, 2.0 ** -10, 700.0) <= 1.0
 
     def test_requires_indicator_kernel(self):
         with pytest.raises(ValueError, match="indicator"):
