@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, ndtri
 
 from . import __version__
 from .engine import _substream, truncation_diagnostic
@@ -477,6 +476,8 @@ def cmd_holder(cfg: dict, run: dict, args) -> int:
 def _verify_checks(run: dict, args) -> list[tuple]:
     """(name, value, threshold, false-alarm rate, sample sizes, function
     tested) per check; a check passes while value <= threshold."""
+    from scipy.special import chdtr, chdtrc, ndtri
+
     half = 8 if run["fault_loose_quad"] else HALF_PERIODS
     scale, seed = run["fault_c_alpha_scale"], run["seed"]
 

@@ -21,6 +21,9 @@ key words, so both must lie in [0, 2^32).  Substreams make results
 independent of batching: the same (seed, index) always yields the same
 environment no matter how many workers produced its neighbours, and a
 doubled-length environment extends the shorter one exactly (same prefix).
+
+arrival_tail_sum, this module's one call into SciPy, imports poch itself,
+so a run without a truncation tail never loads SciPy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import poch
 
 from .kernels import ProcessSpec, pair_integral
 from .stable import c_alpha
@@ -127,6 +129,8 @@ def arrival_tail_sum(c: float, n_terms: int) -> float:
     exactly: Gamma_i has the Gamma(i, 1) law, so the N+1 term is
     Gamma(N+1-c) / Gamma(N+1) = S(N) - S(N+1).  Finite only while
     1 < c < N + 1; Gamma_{N+1}^(-c) has infinite mean otherwise."""
+    from scipy.special import poch
+
     if not 1.0 < c < n_terms + 1.0:
         raise ValueError(f"the tail moment of order {c!r} is infinite at "
                          f"n_terms = {n_terms!r}: it needs 1 < c < N + 1")
@@ -157,6 +161,10 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
             r = pair_integral(spec, ts[i], ts[j], ss[i] + ss[j])
             tail = arrival_tail_sum(ss[i] + ss[j], n_terms)
             cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
+            if not np.isfinite(cov[i, j]):
+                raise ArithmeticError(
+                    f"tail covariance at times {ts[i]!r} and {ts[j]!r} is "
+                    f"{float(cov[i, j])!r}")
     return cov
 
 

@@ -14,6 +14,10 @@ kappa_difference_integral, and the measure-weighted pair integrals at two
 path times that drive truncation-tail covariances.  All run on one graded
 Gauss-Legendre rule but band 1 of the pair integral, the last adaptive
 quad, which waits for a benchmark not chosen for its cost.
+
+SciPy is imported inside the two functions that call it, quad in
+pair_integral and zeta in _far_bands, so only a run that reaches an lmmm
+pair integral loads it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import zeta
 
 from .expr import FuncSpec
 
@@ -364,6 +366,8 @@ def _far_bands(j0, tA, tB, kA, kB, s_sum, side_weights) -> float:
     """Bands past j0 of pair_integral.  As x -> +-inf, fA fB = b^2 K |x|^q
     (1 -+ c/|x|), b = b_minus, b_plus, so band j holds b^2 K (j^q - (q/2
     +- c) j^(q-1)), which sums to Hurwitz zetas."""
+    from scipy.special import zeta
+
     bp, bm = side_weights or (1.0, 1.0)
     q = kA + kB - 2.0
     p = 2.0 * (s_sum - 1.0) + q
@@ -390,6 +394,8 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     """
     if spec.tag == "levy":
         return min(tA, tB)
+    from scipy.integrate import quad
+
     kA, kB = spec.kappa(tA), spec.kappa(tB)
     if kA + kB <= -1.0:  # |x|^(kA+kB) is not integrable at x = 0
         raise ValueError(f"pair integral diverges at the kinks: kappa sum "

@@ -156,9 +156,10 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
                                                       terms[0])
     quarter = math.pi / 4.0
 
+    # psi overflows far out on the rising branch: zeros and pieces silence
+    # that once per call, not once per psi
     def psi(y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(a * y) * ((B - A) + B * np.expm1((b - a) * y))
+        return np.exp(a * y) * ((B - A) + B * np.expm1((b - a) * y))
 
     def zeros(levels, lo: float, stop: float, sign: float) -> np.ndarray:
         # where the phase, monotone from lo toward stop in the direction
@@ -166,14 +167,15 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         # stop) past the last level, then one vectorised bisection
         levels, step = np.asarray(levels, dtype=float), 1.0
         hi = min(lo + step, stop)
-        while hi < stop and sign * (psi(hi) - levels[-1]) < 0.0:
-            step *= 2.0
-            hi = min(lo + step, stop)
-        lo, hi = np.full(levels.size, lo), np.full(levels.size, hi)
-        for _ in range(56):
-            mid = 0.5 * (lo + hi)
-            left = sign * (psi(mid) - levels) < 0.0
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while hi < stop and sign * (psi(hi) - levels[-1]) < 0.0:
+                step *= 2.0
+                hi = min(lo + step, stop)
+            lo, hi = np.full(levels.size, lo), np.full(levels.size, hi)
+            for _ in range(56):
+                mid = 0.5 * (lo + hi)
+                left = sign * (psi(mid) - levels) < 0.0
+                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         return 0.5 * (lo + hi)
 
     def down(ks) -> np.ndarray:
@@ -186,7 +188,9 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         # int cos(2 psi) e^-y dy between consecutive edges, GL-16 on each
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         y = mid[:, None] + half[:, None] * _GLX16
-        return (np.cos(2.0 * psi(y)) * np.exp(-y)) @ _GLW16 * half
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = psi(y)
+        return (np.cos(2.0 * phase) * np.exp(-y)) @ _GLW16 * half
 
     def head(y1: float) -> float:
         # int_0^z1 sin^2(psi) z^-2 dz in u = z^(2a-1), where it is

@@ -534,6 +534,18 @@ class TestHolderCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert any("not asserted" in w for w in manifest["warnings"])
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "band 1 of kernels.pair_integral is an adaptive quad that puts a "
+        "node on the near-coincident kinks at kappa < 0 and returns inf; "
+        "ROADMAP item 2 moves band 1 onto the graded rule"))
+    def test_gauss_tail_at_near_coincident_kinks(self, tmp_path):
+        # kappa = -1/3, and t 0.5 and t + 2^-17 are both grid times: today
+        # the tail covariance is inf there and the run exits 3
+        cfg = dict(LEVY_CFG, process="lmmm", alpha="1.2", H="0.5",
+                   stability_bounds=[1.15, 1.25], t=0.5,
+                   r=[2.0 ** -16, 2.0 ** -17], m_paths=16, tail="gauss")
+        assert _run(tmp_path, cfg, "holder") == 0
+
     def test_multiple_times(self, tmp_path):
         cfg = dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8],
                    t=[0.3, 0.6], r={"start_exp": -4, "stop_exp": -9},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multistable import engine
 from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
                                 arrival_tail_sum, build_environment,
                                 eval_diagonal_path, tail_covariance,
@@ -244,6 +245,16 @@ class TestTailCovariance:
         draws = np.array([tail_draw(chol, seed=6, index=i) for i in range(4000)])
         emp = np.cov(draws.T)
         assert np.allclose(emp, cov, atol=0.15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_names_its_times(self, monkeypatch, bad):
+        # a non-finite pair integral must not reach the matrix square root,
+        # whose own error ("Eigenvalues did not converge") names neither
+        monkeypatch.setattr(engine, "pair_integral",
+                            lambda spec, tA, tB, s: bad)
+        with pytest.raises(ArithmeticError,
+                           match=rf"times 0\.25 and 0\.25 is {bad!r}"):
+            tail_covariance(_levy_spec(), [0.25, 0.75], 500)
 
 
 class TestArrivalTailSum:

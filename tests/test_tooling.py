@@ -7,8 +7,13 @@ interpreter, as the benchmark does.  The benchmark's workload configs must
 also pass the CLI's config check, or a tightened schema would turn a
 benchmark run into exit 2, and their model functions must keep the values
 pinned below at every time the workload evaluates them.
+
+The benchmark's setup_s is the import of the package: SciPy, most of that
+cost, is imported inside the functions that call it, so that a run loads
+it only when it gets there.
 """
 
+import ast
 import hashlib
 import json
 import subprocess
@@ -128,3 +133,60 @@ def test_benchmark_model_values_are_pinned(workload, key):
     func = getattr(check_config(w.config, w.command)["spec"], key)
     digest = hashlib.sha256(func.grid_values.tobytes()).hexdigest()
     assert digest == GRID_VALUES_SHA256[workload, key]
+
+
+# prints the scipy modules loaded after importing the package and running
+# each (command, config) of argv[2] through cli.main, all in one process
+_SCIPY_AFTER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import multistable, multistable.cli
+for n, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    with open(f"cfg{n}.json", "w") as fh:
+        json.dump(cfg, fh)
+    rc = multistable.cli.main([command, "--config", f"cfg{n}.json",
+                               "--out", f"out{n}"])
+    assert rc == 0, (command, rc)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_after(tmp_path, runs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER, str(ROOT / "src"),
+         json.dumps(runs)], cwd=tmp_path, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert _scipy_after(tmp_path, []) == []
+
+
+def test_tail_free_paths_load_no_scipy(tmp_path):
+    levy = {"process": "levy", "alpha": "1.5+0.3*sin(2*pi*t)",
+            "stability_bounds": [1.1, 1.9], "n_terms": 200,
+            "grid": [0.25, 0.5, 0.75], "n_paths": 2}
+    assert _scipy_after(tmp_path, [("path", CASES["path"]),
+                                   ("path", levy)]) == []
+
+
+def test_gauss_tail_loads_scipy_when_it_starts(tmp_path):
+    # the tail covariance's band-1 quad is the lazy import that still runs
+    assert "scipy.integrate" in _scipy_after(
+        tmp_path, [("moments", CASES["moments"])])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(n.split(".")[0] != "scipy" for n in names), (
+            f"{path.name}:{node.lineno} imports scipy at module level")
