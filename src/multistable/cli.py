@@ -29,7 +29,7 @@ import sys
 import time
 from collections import namedtuple
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str],
-               rows: Sequence[Sequence[object]]) -> None:
+               rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -388,12 +388,13 @@ def cmd_path(cfg: dict, run: dict, args) -> int:
                             tail=run["tail"], workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # rows are streamed: no list of n_paths x G rows is built
+    ts = grid.tolist()
     if n_paths == 1:
-        rows = [(t, v) for t, v in zip(grid, vals[0])]
-        _write_csv(out / "path.csv", ("t", "y"), rows)
+        _write_csv(out / "path.csv", ("t", "y"), zip(ts, vals[0].tolist()))
     else:
-        rows = [(p, t, v) for p in range(n_paths)
-                for t, v in zip(grid, vals[p])]
+        rows = ((p, t, v) for p in range(n_paths)
+                for t, v in zip(ts, vals[p].tolist()))
         _write_csv(out / "path.csv", ("path_id", "t", "y"), rows)
     if args.svg:
         _svg_polylines(out / "path.svg",

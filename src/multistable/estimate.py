@@ -249,15 +249,21 @@ def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
         raise ValueError("every path lost all increments; widen r_levels")
     slopes = np.asarray(slopes)
     est = float(np.median(slopes))
-    boot_rng = _substream(seed, 0, "bootstrap")
-    idx = boot_rng.integers(0, slopes.shape[0],
-                            size=(_BOOT_RESAMPLES, slopes.shape[0]))
-    boot = np.median(slopes[idx], axis=1)
-    ci_lo, ci_hi = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
-    theory, note = _holder_theory(spec, t, alpha_regularity)
     if not 0.0 < est <= 1.5:
         raise ValueError(f"pathwise slope {est!r} outside (0, 1.5]; "
                          "the window is not in the scaling regime")
+    # one draw (blocked draws would discard different halves of 64-bit
+    # words); int32 gives the same indices as int64 below 2^32.  The
+    # medians run over blocks of at most 2^16 gathered slopes.
+    n = slopes.shape[0]
+    idx = _substream(seed, 0, "bootstrap").integers(
+        0, n, size=(_BOOT_RESAMPLES, n), dtype=np.int32)
+    rows = max(1, 2 ** 16 // n)
+    boot = np.concatenate([
+        np.median(slopes[idx[i:i + rows]], axis=1, overwrite_input=True)
+        for i in range(0, _BOOT_RESAMPLES, rows)])
+    ci_lo, ci_hi = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
+    theory, note = _holder_theory(spec, t, alpha_regularity)
     return HolderEstimate(t=t, estimate=est, ci_lo=ci_lo, ci_hi=ci_hi,
                           theory=theory, theory_note=note,
                           drop_count=drop_count, dropped_paths=dropped_paths,

@@ -84,6 +84,15 @@ def phase_integral_mpmath(q1: float, s1: float, q2: float, s2: float,
             zc = (q1 * s1 / (q2 * s2)) ** (1 / (s2 - s1))
 
         def cross(level, lo, hi):
+            # psi crosses level once in [lo, hi], which may span many
+            # decades: bisect in log z to a tight bracket, then findroot
+            rises = psi(lo) < level
+            while hi > lo * (1 + mp.mpf(10) ** -6):
+                mid = mp.sqrt(lo * hi) if lo > 0 else hi / 2
+                if (psi(mid) < level) == rises:
+                    lo = mid
+                else:
+                    hi = mid
             return mp.findroot(lambda z: psi(z) - level, (lo, hi),
                                solver="anderson")
 

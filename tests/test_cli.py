@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -444,6 +446,51 @@ class TestPathCommand:
                 == (tmp_path / "b" / "path.csv").read_bytes())
         tree = ET.parse(tmp_path / "b" / "path.svg")
         assert tree.getroot().tag.endswith("svg")
+
+
+    def test_writer_memory_does_not_grow_with_paths(self, tmp_path,
+                                                    monkeypatch):
+        # path.csv is streamed: 64 times the paths, the same traced peak
+        vals = np.random.default_rng(0).standard_normal((512, 64))
+        monkeypatch.setattr(cli, "diagonal_samples",
+                            lambda spec, grid, n, *a, **k: vals[:n])
+        grid = {"start": 0.0, "stop": 1.0, "n": 64}
+        peaks = {}
+        for n in (8, 8, 512):  # the first run loads what runs load once
+            tracemalloc.start()
+            try:
+                assert _run(tmp_path, _path_cfg(n_paths=n, grid=grid),
+                            "path", out=f"out{n}") == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < peaks[8] + 2 ** 20
+
+
+# sha256 of outputs that the bootstrap's int32 draw and blocked medians,
+# and the streamed path.csv writer, must not move
+PINNED_OUTPUTS = [
+    ("holder", dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
+                    H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.5,
+                    r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=509,
+                    tail="gauss", seed=0), "holder.csv",
+     "3eb4b8b3afed73fe00bcf6b9f6beeb8078404a2e5c4a920173def69ada418267"),
+    ("holder", dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8],
+                    t=0.5, r={"start_exp": -4, "stop_exp": -9}, m_paths=300,
+                    n_terms=300), "holder.csv",
+     "12d24da49a5d5a317f80200785b57ede43f908d6cf3419112eb2a2801243cc28"),
+    ("path", _path_cfg(), "path.csv",
+     "e37ec5db09dc9bcb657ef1f75e52ca30fe60a7ff717b24cc305eeac9e88062a8"),
+    ("path", _path_cfg(n_paths=3), "path.csv",
+     "5987579401c3c81c3ff131377aac14cb637a83a2e9bc03964981a39f546b764e"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,name,digest", PINNED_OUTPUTS)
+def test_output_bytes_pinned(tmp_path, command, cfg, name, digest):
+    assert _run(tmp_path, cfg, command) == 0
+    raw = (tmp_path / "out" / name).read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestMomentsCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,39 @@ class TestHolderPathwise:
         _every_path_is(monkeypatch, np.ones_like)
         with pytest.raises(ValueError, match="increments"):
             holder_pathwise(spec, 0.5, [0.01, 0.02], 5, 10, seed=1)
+
+    def test_slope_outside_range_raises_before_bootstrap(self, monkeypatch):
+        spec = _levy_spec()
+        _every_path_is(monkeypatch, lambda g: np.abs(g - 0.5) ** 1.8)
+
+        def no_draws(*a, **k):
+            raise AssertionError("the bootstrap ran")
+
+        monkeypatch.setattr(estimate, "_substream", no_draws)
+        monkeypatch.setattr(estimate, "_holder_theory", no_draws)
+        with pytest.raises(ValueError, match=r"outside \(0, 1.5\]"):
+            holder_pathwise(spec, 0.5, [2.0 ** -k for k in range(4, 9)], 5,
+                            10, seed=1)
+
+    def test_bootstrap_memory_is_bounded(self):
+        # the resample indices (int32) are the only 2000 x n array: the
+        # medians run over row blocks of at most 2^16 slopes
+        spec = _levy_spec()
+        r = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
+        tracemalloc.start()
+        try:
+            est = holder_pathwise(spec, 0.5, r, 4096, 50, seed=0,
+                                  tail="none")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = est.m_paths - est.dropped_paths
+        assert n == 3268
+        assert peak <= 2000 * n * 4 + 8 * 2 ** 20
+        # the 2000 x 3268 index draw rejects three times; the int64 draw
+        # with one median over the whole array gave the same interval
+        assert (est.estimate, est.ci_lo, est.ci_hi) == (
+            0.24254426984200073, 0.2003652620207774, 0.2864172517983096)
 
     def test_levy_theory_targets(self):
         hi = _levy_spec(alpha="1.5")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -177,11 +178,14 @@ def test_power_diff_is_bit_identical_to_masked_form(t, k, weights):
     x, _ = _lmmm_sample(np.random.default_rng(31), 49994)
     x = np.concatenate([x, [0.0, t, -t, 8.0 * (1.0 + abs(t)), 1e15, -1e15]])
     assert np.count_nonzero(np.abs(x) > 8.0 * (1.0 + abs(t))) > 1000
-    # the pair integrals pass 2-D node arrays
-    for xs in (x, x.reshape(-1, 10)):
-        got = _power_diff(t, k, xs, weights)
-        want = _power_diff_masked(t, k, xs, weights)
-        assert got.shape == xs.shape and got.tobytes() == want.tobytes()
+    # the pair integrals pass 2-D node arrays; at k < 0 the kinks x = 0
+    # and x = t are poles, where both forms divide by zero
+    with (pytest.warns(RuntimeWarning, match="divide by zero") if k < 0.0
+          else contextlib.nullcontext()):
+        for xs in (x, x.reshape(-1, 10)):
+            got = _power_diff(t, k, xs, weights)
+            want = _power_diff_masked(t, k, xs, weights)
+            assert got.shape == xs.shape and got.tobytes() == want.tobytes()
 
 
 class TestLevyKernel:

@@ -156,7 +156,10 @@ class TestPhaseIntegral:
         (4492.443681663064, 0.5331102849592732,
          4481.405454109577, 0.5327781946005101),
         (217.6444536042072, 2.396723873958536,
-         217.67337330414261, 2.3983479022815266)])
+         217.67337330414261, 2.3983479022815266),
+        # the oracle's root brackets span 70,000 and 55 decades here: a
+        # minimum at z_c 8e-70001, and a dip of depth 8e316 at z_c 8e69
+        (1e-3, 4.5, 1e4, 4.5001), (1e4, 4.5, 1e-3, 4.6)])
     def test_against_mpmath(self, q1, s1, q2, s2):
         pytest.importorskip("mpmath")
         ref = oracles.phase_integral_mpmath(q1, s1, q2, s2)
