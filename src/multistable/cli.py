@@ -79,6 +79,11 @@ def _write_json(path: Path, doc: dict) -> None:
 # n_terms, n_paths x grid points, m_paths x levels, levels in one family
 _MAX_VALUES = 2 ** 24
 
+# the most times one Gaussian tail covariance may span: lmmm and lfsm-control
+# take one pair integral (35-64 ms) per pair of times, so 257 times take
+# 20-35 min; levy's G x G matrix must stay within _MAX_VALUES
+_MAX_TAIL_TIMES = {"levy": 2 ** 12, "lmmm": 257, "lfsm-control": 257}
+
 
 def _ok(cond: bool, value):
     """value if cond holds; the parsers below reject with ValueError."""
@@ -152,9 +157,10 @@ _REQUIRED = object()
 _SIM = ("path", "moments", "holder")
 
 # README.md mirrors this table.  check_config rejects any other key and adds
-# the cross-key rules: the count caps, every time (grid, t, t + eps, t + r)
-# lies in the domain, and eta < c; make_process adds the model rules, which
-# see the domain grid and every one of those times.
+# the cross-key rules: the count caps, the Gaussian tail's time cap, every
+# time (grid, t, t + eps, t + r) lies in the domain, and eta < c;
+# make_process adds the model rules, which see the domain grid and every one
+# of those times.
 SCHEMA = (
     _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
     _Key("alpha", *_EXPR, _REQUIRED, _SIM),
@@ -262,6 +268,15 @@ def check_config(cfg: dict, command: str) -> dict:
     if run[count] * len(run[lev]) > _MAX_VALUES:
         raise ConfigError(f"config key {count!r} times the {len(run[lev])} "
                           f"points of {lev!r} exceeds 2^24 values")
+    # one tail covariance spans the grid (path), t and every t + r (holder)
+    # or t and t + eps (moments)
+    span = {"path": len(run[lev]), "holder": len(run[lev]) + 1}.get(command, 2)
+    cap = _MAX_TAIL_TIMES[run["process"]]
+    if run["tail"] == "gauss" and span > cap:
+        raise ConfigError(f"config key {lev!r} makes the Gaussian tail span "
+                          f"{span} times, more than the {cap} allowed for "
+                          f"{run['process']!r}; use \"tail\": \"none\" "
+                          "or fewer points")
     if command == "path":
         times = {"grid": run["grid"]}
     else:

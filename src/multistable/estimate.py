@@ -234,20 +234,19 @@ def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
     dy = np.abs(vals[:, 1:] - vals[:, [0]])
     ok = np.isfinite(dy) & (dy > 0.0)
     drop_count = int(dy.size - np.count_nonzero(ok))
-    slopes = []
-    dropped_paths = 0
-    for i in range(m_paths):
-        m = ok[i]
-        if np.count_nonzero(m) < 2:
-            dropped_paths += 1
-            continue
-        x = logr[m]
-        y = np.log(dy[i, m])
-        xc = x - x.mean()
-        slopes.append(float(np.dot(xc, y - y.mean()) / np.dot(xc, xc)))
-    if not slopes:
+    # one least-squares pass over the paths with two or more usable levels,
+    # masked entries 0: row sums, not BLAS dot products, make the slopes
+    k = np.count_nonzero(ok, axis=1)
+    keep = k >= 2
+    dropped_paths = int(m_paths - np.count_nonzero(keep))
+    if dropped_paths == m_paths:
         raise ValueError("every path lost all increments; widen r_levels")
-    slopes = np.asarray(slopes)
+    ok, k = ok[keep], k[keep, None]
+    x = np.where(ok, logr, 0.0)
+    y = np.log(np.where(ok, dy[keep], 1.0))
+    xc = np.where(ok, x - np.sum(x, axis=1, keepdims=True) / k, 0.0)
+    yc = y - np.sum(y, axis=1, keepdims=True) / k
+    slopes = np.sum(xc * yc, axis=1) / np.sum(xc * xc, axis=1)
     est = float(np.median(slopes))
     if not 0.0 < est <= 1.5:
         raise ValueError(f"pathwise slope {est!r} outside (0, 1.5]; "

@@ -6,7 +6,7 @@ route than the code it checks: direct oscillatory quadrature instead of
 gamma-function closed forms, plain segment sums instead of the dip-aware
 integrator, stratified Monte Carlo and Fourier closed forms instead of
 kink-split quadrature, a walk over the expression tree instead of its
-compiled closures.
+compiled closures, a per-path loop instead of one masked least-squares pass.
 """
 
 import math
@@ -268,3 +268,22 @@ def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     up = np.max(np.arange(1, n + 1) / n - c)
     dn = np.max(c - np.arange(0, n) / n)
     return float(max(up, dn))
+
+
+def holder_slopes_loop(dy: np.ndarray, logr: np.ndarray):
+    """Per-path least-squares slopes of log dy on logr, one path at a time:
+    (slopes of the paths with two or more usable levels, dropped paths).
+    A zero or non-finite increment is unusable."""
+    ok = np.isfinite(dy) & (dy > 0.0)
+    slopes = []
+    dropped_paths = 0
+    for i in range(dy.shape[0]):
+        m = ok[i]
+        if np.count_nonzero(m) < 2:
+            dropped_paths += 1
+            continue
+        x = logr[m]
+        y = np.log(dy[i, m])
+        xc = x - x.mean()
+        slopes.append(float(np.dot(xc, y - y.mean()) / np.dot(xc, xc)))
+    return np.asarray(slopes), dropped_paths

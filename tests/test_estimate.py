@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from multistable import estimate
 from multistable.estimate import (MomentEstimate, condition_probe,
@@ -238,7 +239,7 @@ class TestHolderPathwise:
         # the 2000 x 3268 index draw rejects three times; the int64 draw
         # with one median over the whole array gave the same interval
         assert (est.estimate, est.ci_lo, est.ci_hi) == (
-            0.24254426984200073, 0.2003652620207774, 0.2864172517983096)
+            0.2425442698420007, 0.2003652620207774, 0.28641725179830957)
 
     def test_levy_theory_targets(self):
         hi = _levy_spec(alpha="1.5")
@@ -260,10 +261,79 @@ class TestHolderPathwise:
     def test_lmmm_no_theory_when_kappa_is_negative(self):
         spec = make_process("lmmm", _fs("1.2"), _fs("1"), _fs("0.5"),
                             (0.0, 1.0), 1.1, 1.3)
-        est = holder_pathwise(spec, 0.5, [2.0 ** -k for k in range(4, 9)],
-                              3, 150, seed=3)
+        # band 1's quad does not converge at kappa < 0 (ROADMAP item 3)
+        with pytest.warns(IntegrationWarning):
+            est = holder_pathwise(spec, 0.5,
+                                  [2.0 ** -k for k in range(4, 9)], 3, 150,
+                                  seed=3)
         assert est.theory is None
         assert "1/alpha" in est.theory_note
+
+
+R_ORACLE = [2.0 ** -k for k in range(4, 10)]
+# the increments a crafted path is given at its unusable levels
+_UNUSABLE = (0.0, np.nan, np.inf, -np.inf)
+
+
+def _crafted_increments(m_paths, usable, seed):
+    """(m_paths, len(R_ORACLE)) increments ~ r^0.5 with noise; row i has
+    usable[i] usable levels, the others one of _UNUSABLE in turn."""
+    rng = np.random.default_rng(seed)
+    n = len(R_ORACLE)
+    inc = (np.asarray(R_ORACLE) ** 0.5 * rng.lognormal(0.0, 0.1, (m_paths, n))
+           * rng.choice([-1.0, 1.0], (m_paths, n)))
+    bad = 0
+    for i, u in enumerate(usable):
+        cols = rng.permutation(n)[u:]
+        inc[i, cols] = [_UNUSABLE[(bad + j) % 4] for j in range(len(cols))]
+        bad += len(cols)
+    return inc
+
+
+class TestHolderSlopesOracle:
+    """The masked least-squares pass against the per-path loop of
+    oracles.holder_slopes_loop, on crafted increments."""
+
+    def _run(self, monkeypatch, inc):
+        # Y(t) = 0 on every path, so the increments are exactly inc
+        vals = np.column_stack([np.zeros(inc.shape[0]), inc])
+
+        def samples(spec, grid, m_paths, *args, **kwargs):
+            assert len(grid) == vals.shape[1] and m_paths == vals.shape[0]
+            return vals
+
+        monkeypatch.setattr(estimate, "diagonal_samples", samples)
+        return holder_pathwise(_levy_spec(), 0.5, R_ORACLE, inc.shape[0], 10,
+                               seed=1)
+
+    @pytest.mark.parametrize("m_paths", [1, 509])
+    def test_matches_per_path_loop(self, monkeypatch, m_paths):
+        n = len(R_ORACLE)
+        # 0, 1, 2 and all levels usable, then every count in between
+        usable = ([n] if m_paths == 1 else
+                  [0, 1, 2, n] + [i % (n + 1) for i in range(m_paths - 4)])
+        inc = _crafted_increments(m_paths, usable, seed=m_paths)
+        dy = np.abs(inc)
+        slopes, dropped = oracles.holder_slopes_loop(dy, np.log(R_ORACLE))
+        est = self._run(monkeypatch, inc)
+        assert est.drop_count == sum(n - u for u in usable)
+        assert est.dropped_paths == dropped == sum(u < 2 for u in usable)
+        assert abs(est.estimate - float(np.median(slopes))) <= 1e-12
+
+    def test_two_usable_levels_on_one_path(self, monkeypatch):
+        inc = _crafted_increments(1, [2], seed=3)
+        slopes, _ = oracles.holder_slopes_loop(np.abs(inc), np.log(R_ORACLE))
+        est = self._run(monkeypatch, inc)
+        assert (est.drop_count, est.dropped_paths) == (len(R_ORACLE) - 2, 0)
+        assert abs(est.estimate - slopes[0]) <= 1e-12
+
+    def test_every_path_dropped_raises(self, monkeypatch):
+        inc = _crafted_increments(509, [i % 2 for i in range(509)], seed=4)
+        assert oracles.holder_slopes_loop(np.abs(inc),
+                                          np.log(R_ORACLE))[0].size == 0
+        with pytest.raises(ValueError, match="every path lost all "
+                           "increments; widen r_levels"):
+            self._run(monkeypatch, inc)
 
 
 class TestIncrementCf:
