@@ -22,6 +22,14 @@ independent of batching: the same (seed, index) always yields the same
 environment no matter how many workers produced its neighbours, and a
 doubled-length environment extends the shorter one exactly (same prefix).
 
+A substream is the PCG64 generator that numpy.random.SeedSequence seeds
+from its key.  Environments are built in runs of consecutive indices: one
+vectorised pass computes the SeedSequence output of the four streams of
+every index in the run, and four generators are re-seated, one environment
+at a time, with the PCG64 states those words seed.  A test holds both
+steps to NumPy's own SeedSequence and PCG64 seeding, whose streams NEP 19
+keeps stable across NumPy versions.
+
 arrival_tail_sum, this module's one call into SciPy, imports poch itself,
 so a run without a truncation tail never loads SciPy.
 """
@@ -29,7 +37,7 @@ so a run without a truncation tail never loads SciPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,12 +64,77 @@ _STREAMS = {"arrivals": 0, "points": 1, "signs": 2, "tail": 3,
             "bootstrap": 4, "reference": 5}
 
 
+# the streams every environment owns, in the order _environments seats them
+_ENVIRONMENT_STREAMS = ("arrivals", "points", "signs", "tail")
+
+
+def _check_key_words(seed: int, lo: int, hi: int) -> None:
+    """Raise unless the seed and every index in lo..hi-1 lie in [0, 2^32)."""
+    for index in (lo, max(lo, hi - 1)):
+        if not (0 <= seed < 2 ** 32 and 0 <= index < 2 ** 32):
+            raise ValueError(f"seed {seed!r} and index {index!r} must lie in "
+                             "[0, 2^32)")
+
+
 def _substream(seed: int, index: int, purpose: str) -> np.random.Generator:
-    if not (0 <= seed < 2 ** 32 and 0 <= index < 2 ** 32):
-        raise ValueError(f"seed {seed!r} and index {index!r} must lie in "
-                         "[0, 2^32)")
+    _check_key_words(seed, index, index + 1)
     return np.random.default_rng(
         np.random.SeedSequence((seed, index, _STREAMS[purpose])))
+
+
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# and the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """SeedSequence((seed, index, stream)).generate_state(4, np.uint64) for
+    the indices lo..hi-1 and the _ENVIRONMENT_STREAMS, shape (hi - lo,
+    streams, 4): the words that seed PCG64 for each substream."""
+    _check_key_words(seed, lo, hi)
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    # indices down the rows and streams across the columns: the pool of
+    # four words takes the three key words and a zero word and mixes each
+    # word into every other; generate_state then hashes the pool out to
+    # eight 32-bit words, read little-endian as four 64-bit ones
+    streams = [_STREAMS[p] for p in _ENVIRONMENT_STREAMS]
+    with np.errstate(over="ignore"):
+        pool = [hashmix(w) for w in (
+            np.uint32(seed), np.arange(lo, hi, dtype=np.uint32)[:, None],
+            np.array(streams, dtype=np.uint32), np.uint32(0))]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                             - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                    pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        hash_const = _INIT_B
+        w = [hashmix(pool[k % 4], _MULT_B).astype(np.uint64)
+             for k in range(8)]
+    return np.stack([w[2 * j] | w[2 * j + 1] << np.uint64(32)
+                     for j in range(4)], axis=-1)
+
+
+def _pcg64_state(u0: int, u1: int, u2: int, u3: int) -> dict:
+    """The state of PCG64 seeded with the words u0..u3 (pcg64_set_seed with
+    initstate = u0 u1 and initseq = u2 u3): inc = 2 initseq + 1, then state
+    0, one step, state += initstate, one more step."""
+    inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+    state = (((u0 << 64 | u1) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass(frozen=True)
@@ -72,18 +145,32 @@ class PoissonEnvironment:
     weights: np.ndarray   # w(V_i)
 
 
-def build_environment(spec: ProcessSpec, n_terms: int, seed: int,
-                      index: int = 0) -> PoissonEnvironment:
+def _environments(spec: ProcessSpec, n_terms: int, seed: int, lo: int,
+                  hi: int) -> Iterator[tuple[PoissonEnvironment,
+                                             np.random.Generator]]:
+    """Environments lo..hi-1 in index order, each with its tail substream.
+    Four generators, local to this call, are re-seated for each index, so
+    use each tail generator before taking the next environment."""
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms!r}")
-    arrivals = np.cumsum(
-        _substream(seed, index, "arrivals").standard_exponential(n_terms))
-    points, weights = spec.measure.sample(_substream(seed, index, "points"),
-                                          n_terms)
-    signs = 1.0 - 2.0 * (_substream(seed, index, "signs").random(n_terms)
-                         < 0.5)
-    return PoissonEnvironment(arrivals=arrivals, points=points, signs=signs,
-                              weights=weights)
+    table = _seed_words(seed, lo, hi)
+    rngs = [np.random.Generator(np.random.PCG64())
+            for _ in _ENVIRONMENT_STREAMS]
+    arrival_rng, point_rng, sign_rng, tail_rng = rngs
+    for words in table:
+        for rng, u in zip(rngs, words.tolist()):
+            rng.bit_generator.state = _pcg64_state(*u)
+        arrivals = np.cumsum(arrival_rng.standard_exponential(n_terms))
+        points, weights = spec.measure.sample(point_rng, n_terms)
+        signs = 1.0 - 2.0 * (sign_rng.random(n_terms) < 0.5)
+        yield PoissonEnvironment(arrivals=arrivals, points=points,
+                                 signs=signs, weights=weights), tail_rng
+
+
+def build_environment(spec: ProcessSpec, n_terms: int, seed: int,
+                      index: int = 0) -> PoissonEnvironment:
+    env, _ = next(_environments(spec, n_terms, seed, index, index + 1))
+    return env
 
 
 def _grid_scales(spec: ProcessSpec,
@@ -104,12 +191,22 @@ def _diagonal_values(env: PoissonEnvironment, spec: ProcessSpec,
                      grid: np.ndarray, prefs: np.ndarray,
                      ss: np.ndarray) -> np.ndarray:
     """Y(t) of one environment on the grid, given its _grid_scales."""
-    log_ratio = np.log(env.weights) - np.log(env.arrivals)
+    # log(w / Gamma); the levy weights are all 1, and 0 - x is exactly -x
+    log_ratio = np.log(env.arrivals)
+    if spec.tag == "levy":
+        np.negative(log_ratio, out=log_ratio)
+    else:
+        np.subtract(np.log(env.weights), log_ratio, out=log_ratio)
+    term = np.empty_like(log_ratio)
     values = np.empty(grid.shape[0])
     for g, t in enumerate(grid):
         f = spec.kernel.evaluate(float(t), float(t), env.points)
-        values[g] = prefs[g] * np.sum(env.signs * np.exp(ss[g] * log_ratio)
-                                      * f)
+        # the products of signs * exp(s log_ratio) * f, in that order
+        np.multiply(log_ratio, ss[g], out=term)
+        np.exp(term, out=term)
+        term *= env.signs
+        term *= f
+        values[g] = prefs[g] * np.sum(term)
     return values
 
 
@@ -124,19 +221,30 @@ def eval_diagonal_path(env: PoissonEnvironment, spec: ProcessSpec,
 # truncation tail
 
 
-def arrival_tail_sum(c: float, n_terms: int) -> float:
+def arrival_tail_sum(c: float | np.ndarray,
+                     n_terms: int) -> float | np.ndarray:
     """S(N) = sum_{i>N} E[Gamma_i^(-c)] = Gamma(N+1-c) / ((c-1) Gamma(N)),
     exactly: Gamma_i has the Gamma(i, 1) law, so the N+1 term is
     Gamma(N+1-c) / Gamma(N+1) = S(N) - S(N+1).  Finite only while
-    1 < c < N + 1; Gamma_{N+1}^(-c) has infinite mean otherwise."""
+    1 < c < N + 1; Gamma_{N+1}^(-c) has infinite mean otherwise.  c may be
+    an array, and S then has its shape."""
     from scipy.special import poch
 
-    if not 1.0 < c < n_terms + 1.0:
-        raise ValueError(f"the tail moment of order {c!r} is infinite at "
-                         f"n_terms = {n_terms!r}: it needs 1 < c < N + 1")
+    c = np.asarray(c, dtype=float)
+    bad = ~((1.0 < c) & (c < n_terms + 1.0))
+    if bad.any():
+        raise ValueError(f"the tail moment of order {float(c[bad][0])!r} is "
+                         f"infinite at n_terms = {n_terms!r}: it needs "
+                         "1 < c < N + 1")
     # a Pochhammer ratio keeps the digits that a difference of two
     # log-gammas of size N log N would lose
-    return float(poch(n_terms, 1.0 - c)) / (c - 1.0)
+    return poch(n_terms, 1.0 - c) / (c - 1.0)
+
+
+def _non_finite(ts: list[float], cov: np.ndarray, i: int,
+                j: int) -> ArithmeticError:
+    return ArithmeticError(f"tail covariance at times {ts[i]!r} and "
+                           f"{ts[j]!r} is {float(cov[i, j])!r}")
 
 
 def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
@@ -155,6 +263,17 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     ts = [float(t) for t in grid]
     G = len(ts)
     prefs, ss = _grid_scales(spec, ts)
+    if spec.tag == "levy":
+        # R_AB = min(tA, tB) (kernels.pair_integral), so the matrix is one
+        # array expression, its products in the order of the loop below;
+        # a non-finite entry raises below, naming its times
+        tail = arrival_tail_sum(np.add.outer(ss, ss), n_terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.outer(prefs, prefs) * tail * np.minimum.outer(ts, ts)
+        bad = np.argwhere(~np.isfinite(cov))
+        if bad.size:  # the first in row order lies on or above the diagonal
+            raise _non_finite(ts, cov, *bad[0])
+        return cov
     cov = np.empty((G, G))
     for i in range(G):
         for j in range(i, G):
@@ -162,9 +281,7 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
             tail = arrival_tail_sum(ss[i] + ss[j], n_terms)
             cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
             if not np.isfinite(cov[i, j]):
-                raise ArithmeticError(
-                    f"tail covariance at times {ts[i]!r} and {ts[j]!r} is "
-                    f"{float(cov[i, j])!r}")
+                raise _non_finite(ts, cov, i, j)
     return cov
 
 
@@ -181,10 +298,10 @@ def tail_sqrt(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(vals)[None, :]
 
 
-def tail_draw(cov_chol: np.ndarray, seed: int, index: int) -> np.ndarray:
-    """Gaussian tail-completion sample for one environment."""
-    g = _substream(seed, index, "tail")
-    return cov_chol @ g.standard_normal(cov_chol.shape[0])
+def tail_draw(cov_chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian tail-completion sample for one environment, from its tail
+    substream (_substream(seed, index, "tail"))."""
+    return cov_chol @ rng.standard_normal(cov_chol.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (_diagonal_values, _grid_scales, _substream,
-                     build_environment, tail_covariance, tail_draw, tail_sqrt)
+from .engine import (_check_key_words, _diagonal_values, _environments,
+                     _grid_scales, _substream, tail_covariance, tail_draw,
+                     tail_sqrt)
 from .kernels import (ProcessSpec, kappa_difference_integral,
                       kink_power_integral, sigma_lmmm)
 from .stable import (HALF_PERIODS, c_alpha, sas_abs_moment,
@@ -60,11 +61,11 @@ def _chunk_values(spec: ProcessSpec, grid: np.ndarray, prefs: np.ndarray,
                   seed: int, lo: int, hi: int) -> np.ndarray:
     """Y(t) for environments lo..hi-1 on the grid, shape (hi-lo, G)."""
     out = np.empty((hi - lo, grid.shape[0]))
-    for k, index in enumerate(range(lo, hi)):
-        env = build_environment(spec, n_terms, seed, index)
+    envs = _environments(spec, n_terms, seed, lo, hi)
+    for k, (env, tail_rng) in enumerate(envs):
         out[k] = _diagonal_values(env, spec, grid, prefs, ss)
         if chol is not None:
-            out[k] += tail_draw(chol, seed, index)
+            out[k] += tail_draw(chol, tail_rng)
     return out
 
 
@@ -75,6 +76,7 @@ def diagonal_samples(spec: ProcessSpec, grid: Sequence[float], m_paths: int,
     from environment index index_offset + i."""
     if tail not in ("gauss", "none"):
         raise ValueError(f"unknown tail mode {tail!r}")
+    _check_key_words(seed, index_offset, index_offset + m_paths)
     grid = np.asarray(grid, dtype=float)
     prefs, ss = _grid_scales(spec, grid)
     chol = None

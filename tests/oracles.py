@@ -6,7 +6,8 @@ route than the code it checks: direct oscillatory quadrature instead of
 gamma-function closed forms, plain segment sums instead of the dip-aware
 integrator, stratified Monte Carlo and Fourier closed forms instead of
 kink-split quadrature, a walk over the expression tree instead of its
-compiled closures, a per-path loop instead of one masked least-squares pass.
+compiled closures, a per-path loop instead of one masked least-squares pass,
+a loop over pairs instead of one array expression.
 """
 
 import math
@@ -287,3 +288,17 @@ def holder_slopes_loop(dy: np.ndarray, logr: np.ndarray):
         xc = x - x.mean()
         slopes.append(float(np.dot(xc, y - y.mean()) / np.dot(xc, xc)))
     return np.asarray(slopes), dropped_paths
+
+
+def tail_covariance_loop(ts, prefs, ss, pair, tail_sum) -> np.ndarray:
+    """The Gaussian tail covariance pref_A pref_B S(s_A + s_B) R_AB entry by
+    entry over the upper triangle, with R = pair(tA, tB, s_A + s_B) and S =
+    tail_sum(s_A + s_B)."""
+    G = len(ts)
+    cov = np.empty((G, G))
+    for i in range(G):
+        for j in range(i, G):
+            r = pair(ts[i], ts[j], ss[i] + ss[j])
+            tail = tail_sum(ss[i] + ss[j])
+            cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
+    return cov

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
 from multistable.expr import FuncSpec
 from multistable.kernels import make_process
 from multistable.stable import c_alpha
+
+import oracles
 
 
 def _fs(src, domain=(0.0, 1.0)):
@@ -216,7 +219,7 @@ class TestTailCovariance:
         cov = tail_covariance(spec, [0.0, 0.5], 500)
         assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
         chol = tail_sqrt(cov)
-        draw = tail_draw(chol, seed=4, index=9)
+        draw = tail_draw(chol, _substream(4, 9, "tail"))
         assert draw[0] == 0.0 and draw[1] != 0.0
 
     def test_sqrt_reproduces_covariance(self):
@@ -233,16 +236,18 @@ class TestTailCovariance:
     def test_draw_is_deterministic_and_scales(self):
         cov = np.diag([4.0, 9.0])
         chol = tail_sqrt(cov)
-        a = tail_draw(chol, seed=2, index=3)
-        b = tail_draw(chol, seed=2, index=3)
+        a = tail_draw(chol, _substream(2, 3, "tail"))
+        b = tail_draw(chol, _substream(2, 3, "tail"))
         assert np.array_equal(a, b)
-        c = tail_draw(tail_sqrt(np.diag([16.0, 36.0])), seed=2, index=3)
+        c = tail_draw(tail_sqrt(np.diag([16.0, 36.0])),
+                      _substream(2, 3, "tail"))
         assert np.allclose(c, 2.0 * a)
 
     def test_gaussian_moments_of_draws(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         chol = tail_sqrt(cov)
-        draws = np.array([tail_draw(chol, seed=6, index=i) for i in range(4000)])
+        draws = np.array([tail_draw(chol, _substream(6, i, "tail"))
+                          for i in range(4000)])
         emp = np.cov(draws.T)
         assert np.allclose(emp, cov, atol=0.15)
 
@@ -254,7 +259,33 @@ class TestTailCovariance:
                             lambda spec, tA, tB, s: bad)
         with pytest.raises(ArithmeticError,
                            match=rf"times 0\.25 and 0\.25 is {bad!r}"):
-            tail_covariance(_levy_spec(), [0.25, 0.75], 500)
+            tail_covariance(_lmmm_spec(), [0.25, 0.75], 500)
+
+    @pytest.mark.parametrize("grid,bad", [([0.25, 0.75], "0.25 is inf"),
+                                          ([0.0, 0.5], "0.0 is nan")])
+    def test_non_finite_levy_entry_names_its_times(self, grid, bad):
+        # b^2 overflows: inf, and inf * min(0, 0) is nan
+        with pytest.raises(ArithmeticError, match=rf"and {bad}"):
+            tail_covariance(_levy_spec(b="1e200"), grid, 500)
+
+    def test_levy_matches_the_pair_loop_bitwise(self):
+        from scipy.special import poch
+
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
+        grid = np.linspace(0.0, 1.0, 65)
+        prefs, ss = engine._grid_scales(spec, grid)
+        want = oracles.tail_covariance_loop(
+            [float(t) for t in grid], prefs, ss, lambda tA, tB, s: min(tA, tB),
+            lambda c: float(poch(2000, 1.0 - c)) / (c - 1.0))
+        assert np.array_equal(tail_covariance(spec, grid, 2000), want)
+
+    def test_levy_covariance_of_1024_times_is_fast(self):
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
+        grid = np.linspace(0.0, 1.0, 1024)
+        started = time.perf_counter()
+        cov = tail_covariance(spec, grid, 200)
+        assert time.perf_counter() - started < 1.0
+        assert cov.shape == (1024, 1024) and np.all(np.isfinite(cov))
 
 
 class TestArrivalTailSum:
@@ -349,3 +380,30 @@ class TestStreamKeys:
                                         index_b, purposes):
         a, b = purposes[:2]
         assert _key(seed_a, index_a, a) != _key(seed_b, index_b, b)
+
+    def test_state_table_is_numpys_seeding(self):
+        # the vectorised table against SeedSequence + PCG64 on 1,280 keys:
+        # random runs of 8 indices, and runs at the words 0 and 2^32 - 1
+        rng = np.random.default_rng(23)
+        top = 2 ** 32 - 1
+        runs = [(0, 0), (top, 0), (0, top - 7), (top, top - 7),
+                *zip(rng.integers(0, 2 ** 32, 36).tolist(),
+                     rng.integers(0, 2 ** 32 - 8, 36).tolist())]
+        seated = np.random.Generator(np.random.PCG64())
+        for seed, lo in runs:
+            table = engine._seed_words(seed, lo, lo + 8)
+            assert table.shape == (8, 4, 4)
+            for index, words in enumerate(table, start=lo):
+                for purpose, u in zip(engine._ENVIRONMENT_STREAMS, words):
+                    ref = _substream(seed, index, purpose).bit_generator
+                    assert np.array_equal(
+                        u, ref.seed_seq.generate_state(4, np.uint64))
+                    state = engine._pcg64_state(*u.tolist())
+                    assert state == ref.state
+                    seated.bit_generator.state = state
+                    assert np.array_equal(seated.bit_generator.random_raw(8),
+                                          ref.random_raw(8))
+
+    def test_state_table_checks_every_index(self):
+        with pytest.raises(ValueError, match="index 4294967296 must lie"):
+            engine._seed_words(3, 2 ** 32 - 2, 2 ** 32 + 1)

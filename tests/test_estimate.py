@@ -12,7 +12,9 @@ from multistable.estimate import (MomentEstimate, condition_probe,
                                   estimate_increment_moments, fit_scaling,
                                   holder_pathwise, ks_two_sample,
                                   levy_increment_cf, theoretical_scaling)
-from multistable.engine import build_environment, eval_diagonal_path
+from multistable.engine import (_substream, build_environment,
+                               eval_diagonal_path, tail_covariance, tail_draw,
+                               tail_sqrt)
 from multistable.expr import FuncSpec
 from multistable.kernels import (kink_power_integral, lmmm_kernel,
                                  make_process, sigma_lmmm)
@@ -63,7 +65,8 @@ class TestDiagonalSamples:
     @pytest.mark.parametrize("process", ["levy", "lmmm", "lfsm-control"])
     def test_rows_are_the_engine_evaluator(self, process):
         # one path from environment to value: each row is the evaluator
-        # applied to the environment of its index, bit for bit
+        # applied to the environment of its index plus the tail draw of its
+        # tail substream, bit for bit, on both sides of a chunk boundary
         H = None if process == "levy" else _fs("0.8")
         # lfsm-control alone takes side weights, and a constant alpha
         alpha, weights = "1.6+0.2*t", {}
@@ -72,11 +75,35 @@ class TestDiagonalSamples:
         spec = make_process(process, _fs(alpha), _fs("1"), H,
                             (0.0, 1.0), 1.3, 1.9, **weights)
         grid = [0.15, 0.5, 0.85]
-        vals = diagonal_samples(spec, grid, 140, 300, seed=4, tail="none",
-                                index_offset=70)
-        for i, row in enumerate(vals):
-            env = build_environment(spec, 300, 4, 70 + i)
-            assert np.array_equal(row, eval_diagonal_path(env, spec, grid))
+        chol = tail_sqrt(tail_covariance(spec, grid, 300))
+        want = [eval_diagonal_path(build_environment(spec, 300, 4, 70 + i),
+                                   spec, grid)
+                + tail_draw(chol, _substream(4, 70 + i, "tail"))
+                for i in range(140)]
+        assert 140 > estimate._CHUNK  # two chunks: 70..197 and 198..209
+        for workers in (1, 2):
+            vals = diagonal_samples(spec, grid, 140, 300, seed=4,
+                                    workers=workers, index_offset=70)
+            assert np.array_equal(vals, want)
+
+    # (seed, index_offset, m_paths, workers, the index the error names);
+    # the last range's first chunk would be valid
+    @pytest.mark.parametrize("seed,offset,m_paths,workers,index",
+                             [(0, 2 ** 32 - 1, 2, 1, 2 ** 32),
+                              (2 ** 32, 0, 2, 1, 0),
+                              (0, 2 ** 32 - 200, 300, 2, 2 ** 32 + 99)])
+    def test_key_words_checked_before_any_draw(self, monkeypatch, seed,
+                                               offset, m_paths, workers,
+                                               index):
+        def no_draws(*a, **k):
+            raise AssertionError("an environment was drawn")
+
+        monkeypatch.setattr(estimate, "_environments", no_draws)
+        with pytest.raises(ValueError, match=rf"seed {seed} and index {index} "
+                                             r"must lie in \[0, 2\^32\)"):
+            diagonal_samples(_levy_spec(), [0.5], m_paths, 50, seed=seed,
+                             tail="none", workers=workers,
+                             index_offset=offset)
 
     def test_tail_none_differs_from_gauss(self):
         spec = _levy_spec()

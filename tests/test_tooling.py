@@ -43,12 +43,13 @@ CASES = {
 }
 
 
-def _traced_run(tmp_path, command, cfg):
+def _traced_run(tmp_path, command, cfg, workers=1):
     """Layer metrics of one traced CLI run in a fresh interpreter."""
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     job = {"src": str(ROOT / "src"), "config": cfg, "trace": True,
            "argv": [command, "--config", str(tmp_path / "config.json"),
-                    "--out", str(tmp_path / "out"), "--seed", "0"],
+                    "--out", str(tmp_path / "out"), "--seed", "0",
+                    "--workers", str(workers)],
            "result": str(tmp_path / "result.json")}
     (tmp_path / "job.json").write_text(json.dumps(job))
     proc = subprocess.run([sys.executable, str(CHILD),
@@ -74,6 +75,19 @@ def test_traced_child_run(tmp_path, command):
         # levels (moments): the tracer's pair count is the grid's
         assert (layers["engine.tail_covariance.pairs"]
                 == layers["kernels.pair_integral.calls"] == 6)
+
+
+def test_traced_levy_moments_counts_every_environment(tmp_path):
+    # the levy-moments workload in small: two workers, and 130 paths, so
+    # each level spans two chunks.  The traced layers see one measure
+    # sample and one tail draw per environment, one simulation per level
+    cfg = {"process": "levy", "alpha": "1.5+0.3*sin(2*pi*t)",
+           "stability_bounds": [1.1, 1.9], "n_terms": 200, "t": 0.3,
+           "eta": 0.5, "m_paths": 130, "eps": [2.0 ** -4, 2.0 ** -5]}
+    layers = _traced_run(tmp_path, "moments", cfg, workers=2)
+    assert (layers["engine.tail_draw.calls"]
+            == layers["kernels.sample.calls"] == 130 * 2)
+    assert layers["estimate.diagonal_samples.calls"] == 2
 
 
 def test_traced_holder_next_to_band_two(tmp_path):
