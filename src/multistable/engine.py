@@ -286,16 +286,20 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
 
 
 def tail_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root L with L L^T = cov.  Plain Cholesky when the
-    covariance is positive definite; the eigenvalue square root otherwise
-    (nearly-coincident grid points make these matrices rank deficient, and a
-    zero row, e.g. the origin of a path, must stay exactly zero)."""
+    """Matrix square root L with L L^T = cov, taken over the rows that are
+    not all zero: a zero-variance time (e.g. the origin of a path) keeps an
+    exactly zero row and column in L.  Cholesky of those rows; their
+    eigenvalue square root where they are not positive definite
+    (nearly-coincident grid points make these matrices rank deficient)."""
+    live = np.flatnonzero(np.any(cov, axis=1))
+    block = np.ix_(live, live)
+    root = np.zeros_like(cov)
     try:
-        return np.linalg.cholesky(cov)
+        root[block] = np.linalg.cholesky(cov[block])
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)[None, :]
+        vals, vecs = np.linalg.eigh(cov[block])
+        root[block] = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return root
 
 
 def tail_draw(cov_chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,10 @@ sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
 kappa_difference_integral, and the measure-weighted pair integrals at two
 path times that drive truncation-tail covariances.  All run on one graded
 Gauss-Legendre rule but band 1 of the pair integral, the last adaptive
-quad, which waits for a benchmark not chosen for its cost.
+quad, which waits for a benchmark not chosen for its cost.  Its integrand
+calls Kernel.evaluate at both times for each node, as the benchmark's
+traced ranking expects, and passes the node as a float, which _power_diff
+evaluates on floats rather than as a one-element array.
 
 SciPy is imported inside the two functions that call it, quad in
 pair_integral and zeta in _far_bands, so only a run that reaches an lmmm
@@ -83,7 +86,8 @@ def _bands_from_uniform(u: np.ndarray) -> np.ndarray:
     straddle = np.flatnonzero(j == 0.0)
     j[straddle] = np.searchsorted(_band_table(), u[straddle],
                                   side="right") + 1.0
-    for idx in np.flatnonzero(j > _BAND_TABLE_N):
+    # only the last cell reaches past the table, and it straddles
+    for idx in straddle[j[straddle] > _BAND_TABLE_N]:
         # smallest j with survival (6/pi^2) psi_1(j+1) <= 1-u
         target = 1.0 - u[idx]
         lo = _BAND_TABLE_N
@@ -149,6 +153,18 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     the kinks where the direct difference cancels catastrophically.  Side
     weights (b_plus, b_minus) scale each power by b_plus left of its kink
     and by b_minus right of it.  With an anchor, x is the offset from it."""
+    # one near point (band 1's quad nodes) on floats, the same operations as
+    # below; the powers stay numpy's, whose last bit can differ from
+    # Python's.  Goes when ROADMAP 5b retires band 1's quad
+    if (x.ndim == 0 and anchor is None
+            and abs(xv := float(x)) <= 8.0 * (1.0 + abs(t))):
+        tx = t - xv
+        pa, pb = (np.array((abs(tx), abs(xv))) ** k).tolist()
+        if weights is not None:
+            bp, bm = weights
+            pa *= bp if tx > 0.0 else bm
+            pb *= bp if xv < 0.0 else bm
+        return np.float64(pa - pb)
     shape, x = x.shape, x.ravel()
     tx, x = (t - x, x) if anchor is None else ((t - anchor) - x, anchor + x)
     ax = np.abs(x)
@@ -406,8 +422,7 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
 
     def band1(x: float) -> float:
-        xs = np.array([x])
-        return float(fA(xs)[0] * fB(xs)[0])
+        return float(fA(x) * fB(x))
 
     v1 = quad(band1, -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
               limit=600)[0]

@@ -228,6 +228,33 @@ class TestTailCovariance:
         chol = tail_sqrt(cov)
         assert np.allclose(chol @ chol.T, cov, rtol=1e-10, atol=1e-18)
 
+    def test_sqrt_of_grid_from_the_origin_is_cholesky(self):
+        # Y(0) = 0 gives a zero row; Cholesky of the other rows keeps it
+        # exactly zero in L, and L is lower-triangular: no eigh fallback
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
+        cov = tail_covariance(spec, np.linspace(0.0, 1.0, 257), 200)
+        assert not np.any(cov[0]) and np.all(cov[1:, 1:] > 0.0)
+        chol = tail_sqrt(cov)
+        assert not np.any(chol[0]) and not np.any(chol[:, 0])
+        assert not np.any(np.triu(chol, 1))
+        assert np.abs(chol @ chol.T - cov).max() < 1e-15 * cov.max()
+        assert np.array_equal(chol[1:, 1:], np.linalg.cholesky(cov[1:, 1:]))
+
+    def test_sqrt_of_positive_variances_is_plain_cholesky(self):
+        cov = tail_covariance(_lmmm_spec(), [0.2, 0.5, 0.8], 800)
+        assert np.array_equal(tail_sqrt(cov), np.linalg.cholesky(cov))
+
+    def test_sqrt_of_duplicate_times_falls_back_to_eigh(self):
+        # a repeated time makes the live rows singular: Cholesky fails, and
+        # the eigenvalue square root still keeps the origin's row zero
+        cov = tail_covariance(_levy_spec(), [0.0, 0.5, 0.5], 200)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov[1:, 1:])
+        chol = tail_sqrt(cov)
+        assert np.any(np.triu(chol, 1))
+        assert not np.any(chol[0]) and not np.any(chol[:, 0])
+        assert np.allclose(chol @ chol.T, cov, rtol=0.0, atol=1e-15)
+
     def test_sqrt_handles_semidefinite_input(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         chol = tail_sqrt(cov)

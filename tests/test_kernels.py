@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from multistable.expr import FuncSpec
-from multistable.kernels import (_band_table, _bands_from_uniform,
-                                 _far_bands, _lmmm_sample, _power_diff,
-                                 _psi1_tail, kink_power_integral, levy_kernel,
+from multistable.kernels import (_band_guide, _band_table,
+                                 _bands_from_uniform, _far_bands,
+                                 _lmmm_sample, _power_diff, _psi1_tail,
+                                 kink_power_integral, levy_kernel,
                                  lmmm_kernel, make_process, pair_integral,
                                  sigma_lmmm)
 
@@ -151,6 +152,23 @@ class TestGuideTableIsExact:
         self._assert_matches_plain_search(u)
         assert np.all(_bands_from_uniform(u) > table.shape[0])
 
+    def test_bands_past_the_table_among_table_draws(self):
+        # F(N) and the floats above it lie in the last guide cell, which
+        # straddles: each keeps the band it has on its own
+        table = _band_table()
+        past = np.array([table[-1], np.nextafter(table[-1], 1.0),
+                         1.0 - 2.0 ** -53])
+        assert _band_guide()[-1] == 0.0
+        alone = np.array([_bands_from_uniform(past[i:i + 1])[0]
+                          for i in range(past.size)])
+        assert alone[0] == alone[1] == table.shape[0] + 1
+        assert table.shape[0] < alone[2] < 2.0 ** 53
+        u = np.random.default_rng(7).random(10 ** 4)
+        u[[10, 5000, 9999]] = past
+        got = _bands_from_uniform(u)
+        assert np.array_equal(got[[10, 5000, 9999]], alone)
+        self._assert_matches_plain_search(u)
+
 
 def _power_diff_masked(t, k, x, weights=None):
     """_power_diff with boolean masks for the far field: the reference
@@ -186,6 +204,27 @@ def test_power_diff_is_bit_identical_to_masked_form(t, k, weights):
             got = _power_diff(t, k, xs, weights)
             want = _power_diff_masked(t, k, xs, weights)
             assert got.shape == xs.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 0.3)])
+@pytest.mark.parametrize("t,k", [(0.0, 0.2), (0.3, 0.11), (0.7, -0.3),
+                                 (0.5, 0.0), (-0.4, 0.6)])
+def test_power_diff_one_point_is_bit_identical_to_array(t, k, weights):
+    # band 1's quad passes one float at a time, which takes a float branch
+    # up to the far-field edge; value and sign of zero must be the array's
+    edge = 8.0 * (1.0 + abs(t))
+    xs = [x for x0 in (0.0, t, edge, -edge) for x in
+          (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf))]
+    xs += [-0.0, 0.37, -2.5, 1e3, -1e15]
+    # at k < 0 the kinks x = 0 and x = t are poles, in both forms
+    with (pytest.warns(RuntimeWarning, match="divide by zero") if k < 0.0
+          else contextlib.nullcontext()):
+        for x in xs:
+            got = _power_diff(t, k, np.asarray(x), weights)
+            want = _power_diff(t, k, np.array([x]), weights)[0]
+            assert np.asarray(got).tobytes() == want.tobytes(), x
+            if abs(x) <= edge:
+                assert type(got) is np.float64
 
 
 class TestLevyKernel:
@@ -435,6 +474,18 @@ class TestPairIntegral:
         r = pair_integral(spec, tA, tB, s_sum)
         got = _far_bands(j0, tA, tB, k, k, s_sum, weights)
         assert abs(got - want) < 1e-9 * r
+
+    @pytest.mark.parametrize("tA,tB,want", [
+        (0.3, 0.3, "0x1.14cd33de61e8fp-4"),
+        (0.3, 0.3 + 2.0 ** -4, "0x1.330015a147c00p-4"),
+        (0.5, 0.5 + 2.0 ** -17, "0x1.0fe17ce167ab1p-3")])
+    def test_benchmark_pairs_are_pinned(self, tA, tB, want):
+        # pairs of the lmmm benchmark model at its moments and holder times,
+        # bit for bit: band 1's quad evaluates the kernel one float at a time
+        spec = make_process("lmmm", _fs("1.7+0.2*sin(2*pi*t)"), _fs("1"),
+                            _fs("0.7+0.1*t"), (0.0, 1.0), 1.45, 1.95)
+        s_sum = 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(tB)
+        assert float(pair_integral(spec, tA, tB, s_sum)).hex() == want
 
     def test_divergent_kink_rejected(self):
         # kappa = 0.1 - 1/1.1 = -0.81: |t-x|^(2 kappa) is not integrable

@@ -14,6 +14,7 @@ it only when it gets there.
 """
 
 import ast
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from multistable.cli import check_config
+from multistable.kernels import pair_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
@@ -190,6 +192,39 @@ def test_gauss_tail_loads_scipy_when_it_starts(tmp_path):
     # the tail covariance's band-1 quad is the lazy import that still runs
     assert "scipy.integrate" in _scipy_after(
         tmp_path, [("moments", CASES["moments"])])
+
+
+def test_band_one_evaluates_the_kernel_twice_per_node(monkeypatch):
+    """Band 1 of pair_integral calls Kernel.evaluate once per kink time at
+    every node of its quad.  The traced lmmm-moments ranking of the
+    benchmark (kernels.evaluate and engine.tail_covariance ahead of
+    estimate.diagonal_samples) rests on this call structure until ROADMAP
+    item 5a re-targets it, so a change that evaluates band 1 another way
+    (kappa hoisted out of evaluate, or another rule) must fail here first."""
+    import scipy.integrate
+
+    w = WORKLOADS["lmmm-holder"]
+    spec = check_config(w.config, w.command)["spec"]
+    kernel, real_quad = spec.kernel, scipy.integrate.quad
+    counts = {"evaluate": 0, "integrand": 0}
+
+    def evaluate(*args):
+        counts["evaluate"] += 1
+        return kernel.evaluate(*args)
+
+    def quad(func, *args, **kwargs):
+        def integrand(x):
+            counts["integrand"] += 1
+            return func(x)
+        return real_quad(integrand, *args, **kwargs)
+
+    spec = dataclasses.replace(
+        spec, kernel=dataclasses.replace(kernel, evaluate=evaluate))
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    tA, tB = 0.5, 0.5 + 2.0 ** -6  # kappa > 0: band 1 is one quad
+    pair_integral(spec, tA, tB, 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(tB))
+    assert counts["integrand"] > 100
+    assert counts["evaluate"] == 2 * counts["integrand"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
