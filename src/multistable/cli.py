@@ -80,8 +80,8 @@ def _write_json(path: Path, doc: dict) -> None:
 _MAX_VALUES = 2 ** 24
 
 # the most times one Gaussian tail covariance may span: lmmm and lfsm-control
-# take one pair integral (16-75 ms, about 30 ms on average) per pair of
-# times, so 257 times take about 16 min; levy's G x G matrix must stay
+# take one pair integral (1-40 ms, about 20 ms on average) per pair of
+# times, so 257 times take about 11 min; levy's G x G matrix must stay
 # within _MAX_VALUES
 _MAX_TAIL_TIMES = {"levy": 2 ** 12, "lmmm": 257, "lfsm-control": 257}
 

@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernels import ProcessSpec, pair_integral
+from .kernels import ProcessSpec, band_sums, pair_integral
 from .stable import c_alpha
 
 __all__ = [
@@ -258,30 +258,36 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
         Cov(T_A, T_B) = pref_A pref_B S(N, s_A + s_B) R_AB
 
     with S the arrival_tail_sum and R_AB the pair integral at exponent
-    s_A + s_B.
+    s_A + s_B.  Each pair integral takes its GL-8 band sums from
+    kernels.band_sums, which evaluates each time's kernel rows once for the
+    whole grid; the entries are those of one pair_integral call per pair.
     """
     ts = [float(t) for t in grid]
     G = len(ts)
     prefs, ss = _grid_scales(spec, ts)
     if spec.tag == "levy":
-        # R_AB = min(tA, tB) (kernels.pair_integral), so the matrix is one
-        # array expression, its products in the order of the loop below;
-        # a non-finite entry raises below, naming its times
-        tail = arrival_tail_sum(np.add.outer(ss, ss), n_terms)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = np.outer(prefs, prefs) * tail * np.minimum.outer(ts, ts)
+        # R_AB = min(tA, tB) (kernels.pair_integral), so each row is one
+        # array expression written into the matrix, its products in the
+        # order of the loop below; a non-finite entry raises below, naming
+        # its times
+        t = np.asarray(ts)
+        cov = np.empty((G, G))
+        for i in range(G):
+            tail = arrival_tail_sum(ss[i] + ss, n_terms)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cov[i] = prefs[i] * prefs * tail * np.minimum(t[i], t)
         bad = np.argwhere(~np.isfinite(cov))
         if bad.size:  # the first in row order lies on or above the diagonal
             raise _non_finite(ts, cov, *bad[0])
         return cov
+    pairs = [(i, j, ss[i] + ss[j]) for i in range(G) for j in range(i, G)]
     cov = np.empty((G, G))
-    for i in range(G):
-        for j in range(i, G):
-            r = pair_integral(spec, ts[i], ts[j], ss[i] + ss[j])
-            tail = arrival_tail_sum(ss[i] + ss[j], n_terms)
-            cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
-            if not np.isfinite(cov[i, j]):
-                raise _non_finite(ts, cov, i, j)
+    for (i, j, s), gl8 in zip(pairs, band_sums(spec, ts, pairs)):
+        r = pair_integral(spec, ts[i], ts[j], s, gl8=gl8)
+        tail = arrival_tail_sum(s, n_terms)
+        cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
+        if not np.isfinite(cov[i, j]):
+            raise _non_finite(ts, cov, i, j)
     return cov
 
 
@@ -292,14 +298,18 @@ def tail_sqrt(cov: np.ndarray) -> np.ndarray:
     eigenvalue square root where they are not positive definite
     (nearly-coincident grid points make these matrices rank deficient)."""
     live = np.flatnonzero(np.any(cov, axis=1))
-    block = np.ix_(live, live)
-    root = np.zeros_like(cov)
+    whole = live.size == cov.shape[0]
+    block = cov if whole else cov[np.ix_(live, live)]
     try:
-        root[block] = np.linalg.cholesky(cov[block])
+        root = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov[block])
-        root[block] = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return root
+        vals, vecs = np.linalg.eigh(block)
+        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    if whole:
+        return root
+    full = np.zeros_like(cov)
+    full[np.ix_(live, live)] = root
+    return full
 
 
 def tail_draw(cov_chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,11 +12,14 @@ Also houses the kernel-specific integrals: the lmmm scale integral
 sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
 kappa_difference_integral, and the measure-weighted pair integrals at two
 path times that drive truncation-tail covariances.  All run on one graded
-Gauss-Legendre rule but band 1 of the pair integral, the last adaptive
-quad, which waits for a benchmark not chosen for its cost.  Its integrand
-calls Kernel.evaluate at both times for each node, as the benchmark's
-traced ranking expects, and passes the node as a float, which _power_diff
-evaluates on floats rather than as a one-element array.
+Gauss-Legendre rule but band 1 of the pair integral where both exponents
+are >= 0, the last adaptive quad, which waits for a benchmark not chosen
+for its cost.  Its integrand calls Kernel.evaluate at both times for each
+node, as the benchmark's traced ranking expects, and passes the node as a
+float, which _power_diff evaluates on floats rather than as a one-element
+array.  A tail covariance evaluates each time's kernel rows on the GL-8
+nodes of bands 2..4096 once (band_sums), not once per pair that holds the
+time, and each pair integral takes its sums of those bands from them.
 
 SciPy is imported inside the two functions that call it, quad in
 pair_integral and zeta in _far_bands, so only a run that reaches an lmmm
@@ -44,6 +47,7 @@ __all__ = [
     "kink_power_integral",
     "kappa_difference_integral",
     "pair_integral",
+    "band_sums",
 ]
 
 _PI2_3 = math.pi ** 2 / 3.0
@@ -376,6 +380,7 @@ def sigma_lmmm(alpha_t: float, H_t: float,
 
 _GLX8, _GLW8 = np.polynomial.legendre.leggauss(8)
 _NEAR = 0.25  # a band this close to a kink takes the graded rule, not GL-8
+_J0 = 4096  # pair_integral's last band before the far field
 
 
 def _far_bands(j0, tA, tB, kA, kB, s_sum, side_weights) -> float:
@@ -397,16 +402,65 @@ def _far_bands(j0, tA, tB, kA, kB, s_sum, side_weights) -> float:
         + (bp * bp - bm * bm) * c * z1)
 
 
-def pair_integral(spec: ProcessSpec, tA: float, tB: float,
-                  s_sum: float) -> float:
+def _near(lo: np.ndarray, tA: float, tB: float) -> np.ndarray:
+    """Mask of the bands [lo, lo + 1) that hold a kink or lie within _NEAR
+    of one: pair_integral grades these and leaves them out of its GL-8 sum."""
+    mid = lo + 0.5
+    return np.minimum(abs(mid - tA), abs(mid - tB)) < 0.5 + _NEAR
+
+
+def band_sums(spec: ProcessSpec, ts, pairs) -> np.ndarray:
+    """GL-8 sums of pair_integral over the bands 2.._J0 clear of both kinks,
+    right side then left, for each (i, j, s_sum) in pairs of the times ts:
+    its gl8 argument, one row per pair.  A time's row, its kernel at every
+    GL-8 node of a side, is evaluated once and shared by each pair that
+    holds the time; the rows of one side are alive at a time.  Each pair
+    then takes the same products and sums, on arrays of the same shape, as
+    a pair alone."""
+    ks = [spec.kappa(t) for t in ts]
+    ws = spec.kernel.side_weights
+    js = np.arange(2, _J0 + 1, dtype=float)
+    sums = np.empty((len(pairs), 2))
+    for side, lo in enumerate((js - 1.0, -js)):
+        xs = lo[:, None] + 0.5 * (1.0 + _GLX8)
+        rows = [_power_diff(t, k, xs, ws) for t, k in zip(ts, ks)]
+        for p, (i, j, s_sum) in enumerate(pairs):
+            keep = ~_near(lo, ts[i], ts[j])
+            wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
+            sums[p, side] = np.sum(wgt[keep] * ((rows[i][keep] * rows[j][keep])
+                                                @ (0.5 * _GLW8)))
+    return sums
+
+
+def _band_one_graded(tA, tB, kA, kB, side_weights) -> float:
+    """Band 1 of pair_integral, int_-1^1 fA fB dx, on the graded rule broken
+    at 0 and at the kinks in [-1, 1].  The leading power at a point sums,
+    over the two kernels, the exponent at its kink and the negative part of
+    the exponent at 0; the kernel at t = 0 vanishes and adds nothing."""
+    pts = sorted({-1.0, 0.0, 1.0, *(t for t in (tA, tB) if -1.0 <= t <= 1.0)})
+    powers = [sum(k * (x == t) + min(k, 0.0) * (x == 0.0)
+                  for t, k in ((tA, kA), (tB, kB)) if t != 0.0) for x in pts]
+    anchor, offset, weight = _graded_rule(pts, powers)
+    return float(np.sum(weight * _power_diff(tA, kA, offset, side_weights,
+                                             anchor)
+                        * _power_diff(tB, kB, offset, side_weights, anchor)))
+
+
+def pair_integral(spec: ProcessSpec, tA: float, tB: float, s_sum: float,
+                  gl8: Optional[np.ndarray] = None) -> float:
     """R_AB = E_mhat[ w(V)^s_sum f(tA,tA,V) f(tB,tB,V) ] at two path times,
     s_sum = 1/alpha(tA) + 1/alpha(tB), as each series term carries its own
     w^(1/alpha): the Lebesgue integral of w^(s_sum-1) fA fB, band by band.
 
-    Band 1 is the last adaptive integral, with the kinks as break points:
-    the lmmm-holder benchmark is chosen for its cost, so it waits for a
-    re-targeted benchmark.  Bands 2..4096 are GL-8, or the graded rule
-    where a kink lies in a band or within _NEAR of it; then the far field.
+    Band 1 is an adaptive quad with the kinks as break points, the last in
+    the package: the lmmm-holder benchmark is chosen for its cost, so it
+    waits for a re-targeted benchmark.  Where an exponent is negative, the
+    kinks are singular and quad does not converge, so band 1 takes the
+    graded rule, which is to take every pair when quad goes.  Bands 2.._J0
+    are GL-8, or the graded rule where a kink lies in a band or within
+    _NEAR of it; then the far field.  gl8 holds the GL-8 sums of each side
+    (band_sums), which tail_covariance computes for all its pairs at once;
+    by default the pair computes its own.
     """
     if spec.tag == "levy":
         return min(tA, tB)
@@ -416,28 +470,27 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
     if kA + kB <= -1.0:  # |x|^(kA+kB) is not integrable at x = 0
         raise ValueError(f"pair integral diverges at the kinks: kappa sum "
                          f"{kA + kB!r} <= -1")
-    j0 = 4096
-    fA = lambda x: spec.kernel.evaluate(tA, tA, x)
-    fB = lambda x: spec.kernel.evaluate(tB, tB, x)
-    pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
-
-    def band1(x: float) -> float:
-        return float(fA(x) * fB(x))
-
-    v1 = quad(band1, -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
-              limit=600)[0]
-    total = _PI2_3 ** (s_sum - 1.0) * v1
-    js = np.arange(2, j0 + 1, dtype=float)
-    wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
     ws = spec.kernel.side_weights
-    for lo in (js - 1.0, -js):  # left ends of the bands on each side
-        mid = lo + 0.5
-        near = np.minimum(abs(mid - tA), abs(mid - tB)) < 0.5 + _NEAR
-        xs = lo[~near, None] + 0.5 * (1.0 + _GLX8)
-        total += np.sum(wgt[~near] * ((_power_diff(tA, kA, xs, ws)
-                                       * _power_diff(tB, kB, xs, ws))
-                                      @ (0.5 * _GLW8)))
-        for b in np.flatnonzero(near):
+    if min(kA, kB) < 0.0:
+        v1 = _band_one_graded(tA, tB, kA, kB, ws)
+    else:
+        fA = lambda x: spec.kernel.evaluate(tA, tA, x)
+        fB = lambda x: spec.kernel.evaluate(tB, tB, x)
+        pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
+
+        def band1(x: float) -> float:
+            return float(fA(x) * fB(x))
+
+        v1 = quad(band1, -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
+                  limit=600)[0]
+    if gl8 is None:
+        gl8 = band_sums(spec, [tA, tB], [(0, 1, s_sum)])[0]
+    total = _PI2_3 ** (s_sum - 1.0) * v1
+    js = np.arange(2, _J0 + 1, dtype=float)
+    wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
+    for lo, gl in zip((js - 1.0, -js), gl8):  # left ends of each side's bands
+        total += gl
+        for b in np.flatnonzero(_near(lo, tA, tB)):
             edges = sorted({lo[b], lo[b] + 1.0, *(t for t in (tA, tB)
                                                   if lo[b] < t < lo[b] + 1.0)})
             anchor, offset, weight = _graded_rule(
@@ -445,4 +498,4 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float,
             total += wgt[b] * np.sum(
                 weight * _power_diff(tA, kA, offset, ws, anchor)
                 * _power_diff(tB, kB, offset, ws, anchor))
-    return total + _far_bands(j0, tA, tB, kA, kB, s_sum, ws)
+    return total + _far_bands(_J0, tA, tB, kA, kB, s_sum, ws)

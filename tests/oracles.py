@@ -302,3 +302,45 @@ def tail_covariance_loop(ts, prefs, ss, pair, tail_sum) -> np.ndarray:
             tail = tail_sum(ss[i] + ss[j])
             cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
     return cov
+
+
+def band_one_mpmath(tA: float, tB: float, kA: float, kB: float,
+                    side_weights=(1.0, 1.0), dps: int = 30) -> float:
+    """int_-1^1 fA(x) fB(x) dx in mpmath, f(t,x) = b(t-x)|t-x|^k
+    - b(-x)|x|^k with b = b_plus on positive and b_minus on negative
+    arguments: band 1 of the pair integral.  The pieces between -1, 0, the
+    kinks and 1 are halved, and each half is integrated by tanh-sinh in the
+    offset u from its outer end, so that t - x keeps its digits next to a
+    kink.  Where the integrand's leading power at that end is p < 0 (k at a
+    kink, the negative exponents summed at 0), u = v^(1/(p+1)) makes the
+    u^p term smooth."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        bp, bm = map(mp.mpf, side_weights)
+        b = lambda y: bp if y > 0 else bm
+        pair = [(mp.mpf(tA), mp.mpf(kA)), (mp.mpf(tB), mp.mpf(kB))]
+
+        def from_end(end, power, half, sign):
+            # int_0^half of fA fB at x = end + sign u, t - x = (t - end) - ..
+            def g(u):
+                out = mp.mpf(1)
+                for t, k in pair:
+                    tx, x = (t - end) - sign * u, end + sign * u
+                    out *= b(tx) * abs(tx) ** k - b(-x) * abs(x) ** k
+                return out
+            q = 1 / (min(power, 0) + 1)
+            return mp.quad(lambda v: g(v ** q) * q * v ** (q - 1),
+                           [0, half ** (1 / q)])
+
+        pts = sorted({-1.0, 0.0, 1.0, *(t for t in (tA, tB)
+                                        if -1.0 <= t <= 1.0)})
+        powers = [(x == 0.0) * (min(kA, 0.0) + min(kB, 0.0)) + kA * (x == tA)
+                  + kB * (x == tB) for x in pts]
+        total = mp.mpf(0)
+        for lo, hi, p_lo, p_hi in zip(pts[:-1], pts[1:], powers[:-1],
+                                      powers[1:]):
+            half = (mp.mpf(hi) - mp.mpf(lo)) / 2
+            total += (from_end(mp.mpf(lo), mp.mpf(p_lo), half, 1)
+                      + from_end(mp.mpf(hi), mp.mpf(p_hi), half, -1))
+        return float(total)

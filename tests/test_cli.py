@@ -496,7 +496,8 @@ class TestPathCommand:
 
 
 # sha256 of outputs that the bootstrap's int32 draw and blocked medians,
-# and the streamed path.csv writer, must not move
+# the streamed path.csv writer and the shared kernel rows of the tail
+# covariance (at t 0.8, next to band 2) must not move
 PINNED_OUTPUTS = [
     ("holder", dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
                     H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.5,
@@ -511,6 +512,11 @@ PINNED_OUTPUTS = [
      "e37ec5db09dc9bcb657ef1f75e52ca30fe60a7ff717b24cc305eeac9e88062a8"),
     ("path", _path_cfg(n_paths=3), "path.csv",
      "5987579401c3c81c3ff131377aac14cb637a83a2e9bc03964981a39f546b764e"),
+    ("holder", dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
+                    H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.8,
+                    r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=64,
+                    tail="gauss", seed=0), "holder.csv",
+     "0f66c99c281012794e4054de13c4bc79e904b2cd5965301c3c60ea8ceb7b7473"),
 ]
 
 
@@ -599,26 +605,19 @@ class TestHolderCommand:
 
     def test_theory_nan_when_kappa_is_negative(self, tmp_path):
         # H - 1/alpha < 0: the manifest warns and no target is asserted
-        from scipy.integrate import IntegrationWarning
         cfg = dict(LEVY_CFG, process="lmmm", alpha="1.2", H="0.5",
                    stability_bounds=[1.1, 1.3], t=0.5,
                    r={"start_exp": -4, "stop_exp": -9}, m_paths=10,
                    n_terms=300)
-        # band 1's quad does not converge at kappa < 0 (ROADMAP item 3)
-        with pytest.warns(IntegrationWarning):
-            assert _run(tmp_path, cfg, "holder") == 0
+        assert _run(tmp_path, cfg, "holder") == 0
         lines = (tmp_path / "out" / "holder.csv").read_text().splitlines()
         assert lines[1].split(",")[4] == "nan"
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert any("not asserted" in w for w in manifest["warnings"])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "band 1 of kernels.pair_integral is an adaptive quad that puts a "
-        "node on the near-coincident kinks at kappa < 0 and returns inf; "
-        "ROADMAP item 2 moves band 1 onto the graded rule"))
     def test_gauss_tail_at_near_coincident_kinks(self, tmp_path):
-        # kappa = -1/3, and t 0.5 and t + 2^-17 are both grid times: today
-        # the tail covariance is inf there and the run exits 3
+        # kappa = -1/3, and t 0.5 and t + 2^-17 are both grid times: band 1
+        # of their pair integral grades toward both singular kinks
         cfg = dict(LEVY_CFG, process="lmmm", alpha="1.2", H="0.5",
                    stability_bounds=[1.15, 1.25], t=0.5,
                    r=[2.0 ** -16, 2.0 ** -17], m_paths=16, tail="gauss")

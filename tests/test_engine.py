@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
                                 eval_diagonal_path, tail_covariance,
                                 tail_draw, tail_sqrt, truncation_diagnostic)
 from multistable.expr import FuncSpec
-from multistable.kernels import make_process
+from multistable.kernels import make_process, pair_integral
 from multistable.stable import c_alpha
 
 import oracles
@@ -283,7 +284,7 @@ class TestTailCovariance:
         # a non-finite pair integral must not reach the matrix square root,
         # whose own error ("Eigenvalues did not converge") names neither
         monkeypatch.setattr(engine, "pair_integral",
-                            lambda spec, tA, tB, s: bad)
+                            lambda spec, tA, tB, s, **kw: bad)
         with pytest.raises(ArithmeticError,
                            match=rf"times 0\.25 and 0\.25 is {bad!r}"):
             tail_covariance(_lmmm_spec(), [0.25, 0.75], 500)
@@ -305,6 +306,47 @@ class TestTailCovariance:
             [float(t) for t in grid], prefs, ss, lambda tA, tB, s: min(tA, tB),
             lambda c: float(poch(2000, 1.0 - c)) / (c - 1.0))
         assert np.array_equal(tail_covariance(spec, grid, 2000), want)
+
+    def test_levy_covariance_of_1024_times_in_one_array(self):
+        from scipy.special import poch
+
+        spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
+        G = 1024
+        grid = np.linspace(0.0, 1.0, G)
+        tail_covariance(spec, grid[:2], 2000)  # the first call imports poch
+        tracemalloc.start()
+        try:
+            cov = tail_covariance(spec, grid, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MiB matrix, one row at a time of temporaries and the final
+        # finiteness mask; whole-matrix temporaries took three times that
+        assert peak <= G * G * 8 + 4 * 2 ** 20
+        prefs, ss = engine._grid_scales(spec, grid)
+        want = oracles.tail_covariance_loop(
+            [float(t) for t in grid], prefs, ss, lambda tA, tB, s: min(tA, tB),
+            lambda c: float(poch(2000, 1.0 - c)) / (c - 1.0))
+        assert np.array_equal(cov, want)
+
+    @pytest.mark.parametrize("tag,alpha,H,weights,grid", [
+        # the lmmm-holder workload's grid: t 0.5 and t + 2^-6..2^-17
+        ("lmmm", "1.7+0.2*sin(2*pi*t)", "0.7+0.1*t", (1.0, 1.0),
+         [0.5, *(0.5 + 2.0 ** -k for k in range(6, 18))]),
+        # kinks at and next to band 2, which some pairs grade
+        ("lmmm", "1.7+0.2*sin(2*pi*t)", "0.7+0.1*t", (1.0, 1.0),
+         [0.7, 0.76, 0.8, 0.95, 1.0]),
+        ("lfsm-control", "1.7", "0.75", (1.0, 0.3), [0.2, 0.5, 0.9, 1.0])])
+    def test_lmmm_matches_the_pair_loop_bitwise(self, tag, alpha, H, weights,
+                                                grid):
+        # shared kernel rows give each entry the bits of a pair alone
+        spec = make_process(tag, _fs(alpha), _fs("1"), _fs(H), (0.0, 1.0),
+                            1.2, 1.95, *weights)
+        prefs, ss = engine._grid_scales(spec, grid)
+        want = oracles.tail_covariance_loop(
+            grid, prefs, ss, lambda tA, tB, s: pair_integral(spec, tA, tB, s),
+            lambda c: arrival_tail_sum(c, 4000))
+        assert np.array_equal(tail_covariance(spec, grid, 4000), want)
 
     def test_levy_covariance_of_1024_times_is_fast(self):
         spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from multistable.expr import FuncSpec
-from multistable.kernels import (_band_guide, _band_table,
-                                 _bands_from_uniform, _far_bands,
+from multistable.kernels import (_band_guide, _band_one_graded,
+                                 _band_table, _bands_from_uniform, _far_bands,
                                  _lmmm_sample, _power_diff, _psi1_tail,
                                  kink_power_integral, levy_kernel,
                                  lmmm_kernel, make_process, pair_integral,
@@ -434,6 +434,7 @@ class TestPairIntegral:
 
     @pytest.mark.parametrize("tag,alpha,H,weights", [
         ("lmmm", 1.7, 0.75, (1.0, 1.0)), ("lmmm", 1.6, 0.5, (1.0, 1.0)),
+        ("lmmm", 1.2, 0.5, (1.0, 1.0)),
         ("lfsm-control", 1.7, 0.75, (1.0, 0.3))])
     @pytest.mark.parametrize("tA,tB,hi", [
         (0.5, 0.5, 1.0), (0.3, 0.8, 1.0), (0.5, 0.5 + 2.0 ** -17, 1.0),
@@ -486,6 +487,21 @@ class TestPairIntegral:
                             _fs("0.7+0.1*t"), (0.0, 1.0), 1.45, 1.95)
         s_sum = 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(tB)
         assert float(pair_integral(spec, tA, tB, s_sum)).hex() == want
+
+    @pytest.mark.parametrize("tA,tB,kA,kB,weights", [
+        (0.5, 0.5 + 2.0 ** -17, -1.0 / 3.0, -1.0 / 3.0, (1.0, 1.0)),
+        (0.3, 0.8, -1.0 / 3.0, -1.0 / 3.0, (1.0, 1.0)),
+        (0.2, 0.9, -0.3, 0.2, (1.0, 0.3))])
+    def test_band_one_at_negative_kappa_against_mpmath(self, tA, tB, kA, kB,
+                                                       weights):
+        # the kinks are singular here, and quad returned inf at the first
+        want = oracles.band_one_mpmath(tA, tB, kA, kB, weights)
+        got = _band_one_graded(tA, tB, kA, kB, weights)
+        assert abs(got / want - 1.0) < 1e-12
+
+    def test_band_one_at_negative_kappa_vanishes_at_the_origin(self):
+        # f(0, x) = 0, so the kernel at 0 adds no power at its kink there
+        assert _band_one_graded(0.0, 0.5, -1.0 / 3.0, -1.0 / 3.0, None) == 0.0
 
     def test_divergent_kink_rejected(self):
         # kappa = 0.1 - 1/1.1 = -0.81: |t-x|^(2 kappa) is not integrable
