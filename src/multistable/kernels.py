@@ -432,12 +432,15 @@ def band_sums(spec: ProcessSpec, ts, pairs) -> np.ndarray:
     return sums
 
 
-def _band_one_graded(tA, tB, kA, kB, side_weights) -> float:
-    """Band 1 of pair_integral, int_-1^1 fA fB dx, on the graded rule broken
-    at 0 and at the kinks in [-1, 1].  The leading power at a point sums,
-    over the two kernels, the exponent at its kink and the negative part of
-    the exponent at 0; the kernel at t = 0 vanishes and adds nothing."""
-    pts = sorted({-1.0, 0.0, 1.0, *(t for t in (tA, tB) if -1.0 <= t <= 1.0)})
+def _graded_pair(edges, tA, tB, kA, kB, side_weights) -> float:
+    """int fA fB dx over [edges[0], edges[-1]] on the graded rule broken at
+    the edges and at the kinks between them: band 1 of pair_integral with
+    the edges -1, 0, 1, and each band near a kink with its two ends.  The
+    leading power at a point sums, over the two kernels, the exponent at its
+    kink and the negative part of the exponent at 0; the kernel at t = 0
+    vanishes and adds nothing."""
+    pts = sorted({*edges, *(t for t in (tA, tB)
+                            if edges[0] <= t <= edges[-1])})
     powers = [sum(k * (x == t) + min(k, 0.0) * (x == 0.0)
                   for t, k in ((tA, kA), (tB, kB)) if t != 0.0) for x in pts]
     anchor, offset, weight = _graded_rule(pts, powers)
@@ -472,7 +475,7 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float, s_sum: float,
                          f"{kA + kB!r} <= -1")
     ws = spec.kernel.side_weights
     if min(kA, kB) < 0.0:
-        v1 = _band_one_graded(tA, tB, kA, kB, ws)
+        v1 = _graded_pair((-1.0, 0.0, 1.0), tA, tB, kA, kB, ws)
     else:
         fA = lambda x: spec.kernel.evaluate(tA, tA, x)
         fB = lambda x: spec.kernel.evaluate(tB, tB, x)
@@ -491,11 +494,6 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float, s_sum: float,
     for lo, gl in zip((js - 1.0, -js), gl8):  # left ends of each side's bands
         total += gl
         for b in np.flatnonzero(_near(lo, tA, tB)):
-            edges = sorted({lo[b], lo[b] + 1.0, *(t for t in (tA, tB)
-                                                  if lo[b] < t < lo[b] + 1.0)})
-            anchor, offset, weight = _graded_rule(
-                edges, [kA * (x == tA) + kB * (x == tB) for x in edges])
-            total += wgt[b] * np.sum(
-                weight * _power_diff(tA, kA, offset, ws, anchor)
-                * _power_diff(tB, kB, offset, ws, anchor))
+            total += wgt[b] * _graded_pair((lo[b], lo[b] + 1.0), tA, tB, kA,
+                                           kB, ws)
     return total + _far_bands(_J0, tA, tB, kA, kB, s_sum, ws)

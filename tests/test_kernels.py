@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from multistable.expr import FuncSpec
-from multistable.kernels import (_band_guide, _band_one_graded,
-                                 _band_table, _bands_from_uniform, _far_bands,
-                                 _lmmm_sample, _power_diff, _psi1_tail,
+from multistable.kernels import (_band_guide, _band_table,
+                                 _bands_from_uniform, _far_bands,
+                                 _graded_pair, _lmmm_sample, _power_diff,
+                                 _psi1_tail,
                                  kink_power_integral, levy_kernel,
                                  lmmm_kernel, make_process, pair_integral,
                                  sigma_lmmm)
@@ -496,12 +497,13 @@ class TestPairIntegral:
                                                        weights):
         # the kinks are singular here, and quad returned inf at the first
         want = oracles.band_one_mpmath(tA, tB, kA, kB, weights)
-        got = _band_one_graded(tA, tB, kA, kB, weights)
+        got = _graded_pair((-1.0, 0.0, 1.0), tA, tB, kA, kB, weights)
         assert abs(got / want - 1.0) < 1e-12
 
     def test_band_one_at_negative_kappa_vanishes_at_the_origin(self):
         # f(0, x) = 0, so the kernel at 0 adds no power at its kink there
-        assert _band_one_graded(0.0, 0.5, -1.0 / 3.0, -1.0 / 3.0, None) == 0.0
+        assert _graded_pair((-1.0, 0.0, 1.0), 0.0, 0.5, -1.0 / 3.0,
+                            -1.0 / 3.0, None) == 0.0
 
     def test_divergent_kink_rejected(self):
         # kappa = 0.1 - 1/1.1 = -0.81: |t-x|^(2 kappa) is not integrable
