@@ -81,9 +81,10 @@ _MAX_VALUES = 2 ** 24
 
 # the most times one Gaussian tail covariance may span: lmmm and lfsm-control
 # take one pair integral (1-40 ms, about 20 ms on average) per pair of
-# times, so 257 times take about 11 min; levy's G x G matrix must stay
-# within _MAX_VALUES
-_MAX_TAIL_TIMES = {"levy": 2 ** 12, "lmmm": 257, "lfsm-control": 257}
+# times, so 257 times take about 11 min; levy's covariance is closed form,
+# but engine.tail_sqrt's NumPy Cholesky grows as G^3: 0.5 s at 1,024 times,
+# 3.4 s at 2,048 and 44 s at 4,096
+_MAX_TAIL_TIMES = {"levy": 2 ** 10, "lmmm": 257, "lfsm-control": 257}
 
 
 def _ok(cond: bool, value):
@@ -600,7 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -31,7 +31,8 @@ steps to NumPy's own SeedSequence and PCG64 seeding, whose streams NEP 19
 keeps stable across NumPy versions.
 
 arrival_tail_sum, this module's one call into SciPy, imports poch itself,
-so a run without a truncation tail never loads SciPy.
+so a run without a truncation tail never loads SciPy; no BLAS or LAPACK
+call reaches a path value (tail_sqrt, tail_draw).
 """
 
 from __future__ import annotations
@@ -292,30 +293,25 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
 
 
 def tail_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root L with L L^T = cov, taken over the rows that are
-    not all zero: a zero-variance time (e.g. the origin of a path) keeps an
-    exactly zero row and column in L.  Cholesky of those rows; their
-    eigenvalue square root where they are not positive definite
-    (nearly-coincident grid points make these matrices rank deficient)."""
-    live = np.flatnonzero(np.any(cov, axis=1))
-    whole = live.size == cov.shape[0]
-    block = cov if whole else cov[np.ix_(live, live)]
-    try:
-        root = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(block)
-        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    if whole:
-        return root
-    full = np.zeros_like(cov)
-    full[np.ix_(live, live)] = root
-    return full
+    """Lower-triangular L with L L^T = cov: a left-looking semidefinite
+    Cholesky in NumPy, not BLAS or LAPACK.  Column j is cov[j:, j] less the
+    row sums of L[j:, :j] L[j, :j], over the root of its pivot; a pivot at
+    or below G 2^-52 of the largest variance leaves the column zero, as at a
+    zero-variance time (a levy path's origin) or a repeated time."""
+    G = cov.shape[0]
+    L = np.zeros((G, G))
+    tol = G * 2.0 ** -52 * np.diagonal(cov).max(initial=0.0)
+    for j in range(G):
+        col = cov[j:, j] - np.sum(L[j:, :j] * L[j, :j], axis=1)
+        if col[0] > tol:
+            L[j:, j] = col / np.sqrt(col[0])
+    return L
 
 
 def tail_draw(cov_chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Gaussian tail-completion sample for one environment, from its tail
-    substream (_substream(seed, index, "tail"))."""
-    return cov_chol @ rng.standard_normal(cov_chol.shape[0])
+    substream (_substream(seed, index, "tail")): the row sums of L z."""
+    return np.sum(cov_chol * rng.standard_normal(cov_chol.shape[0]), axis=1)
 
 
 # ---------------------------------------------------------------------------

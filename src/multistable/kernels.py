@@ -412,23 +412,25 @@ def _near(lo: np.ndarray, tA: float, tB: float) -> np.ndarray:
 def band_sums(spec: ProcessSpec, ts, pairs) -> np.ndarray:
     """GL-8 sums of pair_integral over the bands 2.._J0 clear of both kinks,
     right side then left, for each (i, j, s_sum) in pairs of the times ts:
-    its gl8 argument, one row per pair.  A time's row, its kernel at every
-    GL-8 node of a side, is evaluated once and shared by each pair that
-    holds the time; the rows of one side are alive at a time.  Each pair
-    then takes the same products and sums, on arrays of the same shape, as
-    a pair alone."""
+    its gl8 argument, one row per pair.  A time's rows, its kernel at every
+    GL-8 node of a side (a row per node, a column per band), are evaluated
+    once and shared by each pair that holds the time; the rows of one side
+    are alive at a time.  Each pair then takes the same products and sums,
+    on arrays of the same shape, as a pair alone, with no BLAS call."""
     ks = [spec.kappa(t) for t in ts]
     ws = spec.kernel.side_weights
     js = np.arange(2, _J0 + 1, dtype=float)
     sums = np.empty((len(pairs), 2))
     for side, lo in enumerate((js - 1.0, -js)):
-        xs = lo[:, None] + 0.5 * (1.0 + _GLX8)
+        xs = lo + 0.5 * (1.0 + _GLX8[:, None])
         rows = [_power_diff(t, k, xs, ws) for t, k in zip(ts, ks)]
         for p, (i, j, s_sum) in enumerate(pairs):
             keep = ~_near(lo, ts[i], ts[j])
-            wgt = (_PI2_3 * js ** 2) ** (s_sum - 1.0)
-            sums[p, side] = np.sum(wgt[keep] * ((rows[i][keep] * rows[j][keep])
-                                                @ (0.5 * _GLW8)))
+            wgt = (_PI2_3 * js[keep] ** 2) ** (s_sum - 1.0)
+            # each band's GL-8 sum, node by node in order
+            gl8 = sum(a * b * w for a, b, w in zip(rows[i], rows[j],
+                                                   0.5 * _GLW8))
+            sums[p, side] = np.sum(wgt * gl8[keep])
     return sums
 
 

@@ -190,7 +190,8 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         y = mid[:, None] + half[:, None] * _GLX16
         with np.errstate(over="ignore", invalid="ignore"):
             phase = psi(y)
-        return (np.cos(2.0 * phase) * np.exp(-y)) @ _GLW16 * half
+        return np.sum(np.cos(2.0 * phase) * np.exp(-y) * _GLW16,
+                      axis=1) * half
 
     def head(y1: float) -> float:
         # int_0^z1 sin^2(psi) z^-2 dz in u = z^(2a-1), where it is
@@ -199,7 +200,7 @@ def sin2_phase_integral(q1: float, s1: float, q2: float, s2: float,
         y = y1 + _HEAD_LNT / (2.0 * a - 1.0)
         c = (B - A) + B * np.expm1((b - a) * y)
         g = np.sinc(np.exp(a * y) * c / math.pi) ** 2 * c * c
-        return (math.exp((2.0 * a - 1.0) * y1) * float(_HEAD_W @ g)
+        return (math.exp((2.0 * a - 1.0) * y1) * float(np.sum(_HEAD_W * g))
                 / (2.0 * a - 1.0) + 0.5 * math.exp(-y1))
 
     yc, depth = -math.inf, 0.0

@@ -18,6 +18,8 @@ from multistable import cli, engine, expr
 from multistable.cli import SCHEMA, build_spec, main
 from multistable.estimate import theoretical_scaling
 
+from pins import pin
+
 LEVY_CFG = {
     "process": "levy",
     "alpha": "1.5+0.3*sin(2*pi*t)",
@@ -257,7 +259,7 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("process,cap", [("levy", 4096), ("lmmm", 257),
+@pytest.mark.parametrize("process,cap", [("levy", 1024), ("lmmm", 257),
                                          ("lfsm-control", 257)])
 def test_gauss_tail_time_cap(process, cap):
     model = {} if process == "levy" else dict(
@@ -497,26 +499,32 @@ class TestPathCommand:
 
 # sha256 of outputs that the bootstrap's int32 draw and blocked medians,
 # the streamed path.csv writer and the shared kernel rows of the tail
-# covariance (at t 0.8, next to band 2) must not move
+# covariance (at t 0.8, next to band 2) must not move, in each NumPy
+# dispatch class (pins.py)
 PINNED_OUTPUTS = [
     ("holder", dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
                     H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.5,
                     r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=509,
                     tail="gauss", seed=0), "holder.csv",
-     "586c4d284d7337f8a4a7295dbe35bd47e0758361b426ff0d263855d98f9906a4"),
+     pin("9fc3d587fb0c6d1dc2c184df9b29d07e614dad29823b021cf6738eb84e0438c9",
+         "a78cdef00dc6104e2ca2314e5b03a63314ee826f042c42f3920785530a587965")),
     ("holder", dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8],
                     t=0.5, r={"start_exp": -4, "stop_exp": -9}, m_paths=300,
                     n_terms=300), "holder.csv",
-     "12d24da49a5d5a317f80200785b57ede43f908d6cf3419112eb2a2801243cc28"),
+     pin("d17aab3c39c191e8d7c1033ce18d57735e4d90b4bf6b2c6e6b0984485593812a",
+         "00745a84f6d91f6107b28784aba2b407b7dd126ab2790395836de435e35b5eca")),
     ("path", _path_cfg(), "path.csv",
-     "e37ec5db09dc9bcb657ef1f75e52ca30fe60a7ff717b24cc305eeac9e88062a8"),
+     pin("e37ec5db09dc9bcb657ef1f75e52ca30fe60a7ff717b24cc305eeac9e88062a8",
+         "ebbe34b452858cb5dd9951fea034a7cac7fb893727aa518239e25fec7df23c91")),
     ("path", _path_cfg(n_paths=3), "path.csv",
-     "5987579401c3c81c3ff131377aac14cb637a83a2e9bc03964981a39f546b764e"),
+     pin("5987579401c3c81c3ff131377aac14cb637a83a2e9bc03964981a39f546b764e",
+         "5bfbd760bf486ce6fde9b95eca543444b8fc2be0fbc510c04aac97c8b7d156ed")),
     ("holder", dict(LEVY_CFG, process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
                     H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.8,
                     r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=64,
                     tail="gauss", seed=0), "holder.csv",
-     "0f66c99c281012794e4054de13c4bc79e904b2cd5965301c3c60ea8ceb7b7473"),
+     pin("2713e7676c1c891563f7b0c17b12e3f8cd824fdce090354c2e26249e2b794420",
+         "f359ac49c895676515d92f86e640ab44c8a7d7ae976615efd47ef2f640f6b897")),
 ]
 
 

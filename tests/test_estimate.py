@@ -20,6 +20,7 @@ from multistable.kernels import (kink_power_integral, lmmm_kernel,
 from multistable.stable import c_alpha, sas_abs_moment
 
 import oracles
+from pins import pin
 
 
 def _fs(src, domain=(0.0, 1.0)):
@@ -265,7 +266,8 @@ class TestHolderPathwise:
         # the 2000 x 3268 index draw rejects three times; the int64 draw
         # with one median over the whole array gave the same interval
         assert (est.estimate, est.ci_lo, est.ci_hi) == (
-            0.2425442698420007, 0.2003652620207774, 0.28641725179830957)
+            pin(0.2425442698420007, 0.24254426984200084), 0.2003652620207774,
+            0.28641725179830957)
 
     def test_levy_theory_targets(self):
         hi = _levy_spec(alpha="1.5")
