@@ -8,8 +8,9 @@ Four subcommands, all driven by a JSON config file:
   verify   self-checks with optional fault injection -> verify.csv
 
 Every run writes a manifest.json echoing the effective config (CLI overrides
-applied), the package version, wall-clock time, and derived constants.  A
-manifest is itself a valid --config: re-running from it reproduces the CSV
+applied), the package version, the NumPy version and dispatch class,
+wall-clock time, and derived constants.  A manifest is itself a valid
+--config: re-running from it in the same dispatch class reproduces the CSV
 files byte for byte.
 
 The config keys, their types, bounds, defaults and the commands that read
@@ -35,12 +36,17 @@ import numpy as np
 
 from . import __version__
 from .engine import _substream, truncation_diagnostic
-from .estimate import (diagonal_samples, ecf_compare,
+from .estimate import (_BOOT_RESAMPLES, diagonal_samples, ecf_compare,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample)
 from .expr import ExprError, FuncSpec
 from .kernels import ProcessSpec, make_process, sigma_lmmm
 from .stable import HALF_PERIODS, c_alpha, cms_sample, sin2_phase_integral
+
+try:  # the dispatch class, which the exp, log and ** bytes depend on
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 __all__ = ["main", "cmd_path", "cmd_moments", "cmd_holder", "cmd_verify",
            "build_spec", "check_config", "SCHEMA", "ConfigError"]
@@ -85,6 +91,10 @@ _MAX_VALUES = 2 ** 24
 # but engine.tail_sqrt's NumPy Cholesky grows as G^3: 0.5 s at 1,024 times,
 # 3.4 s at 2,048 and 44 s at 4,096
 _MAX_TAIL_TIMES = {"levy": 2 ** 10, "lmmm": 257, "lfsm-control": 257}
+
+# the most paths holder may bootstrap: its resample index is one
+# _BOOT_RESAMPLES x m_paths int32 array, here at most 1 GiB
+_MAX_BOOT_PATHS = 2 ** 30 // (4 * _BOOT_RESAMPLES)
 
 
 def _ok(cond: bool, value):
@@ -270,6 +280,11 @@ def check_config(cfg: dict, command: str) -> dict:
     if run[count] * len(run[lev]) > _MAX_VALUES:
         raise ConfigError(f"config key {count!r} times the {len(run[lev])} "
                           f"points of {lev!r} exceeds 2^24 values")
+    if command == "holder" and run["m_paths"] > _MAX_BOOT_PATHS:
+        raise ConfigError(f"config key 'm_paths' is {run['m_paths']}, but "
+                          f"the bootstrap's {_BOOT_RESAMPLES} x m_paths int32 "
+                          "resample index may take at most 1 GiB: use at "
+                          f"most {_MAX_BOOT_PATHS} paths")
     # one tail covariance spans the grid (path), t and every t + r (holder)
     # or t and t + eps (moments)
     span = {"path": len(run[lev]), "holder": len(run[lev]) + 1}.get(command, 2)
@@ -323,6 +338,10 @@ def _manifest(out: Path, command: str, cfg: dict, run: dict,
         "kind": "run_manifest",
         "command": command,
         "version": __version__,
+        # CSV bytes are a function of the config, the NumPy version and
+        # whether NumPy dispatches its X86_V4 (AVX-512) loops
+        "numpy": {"version": np.__version__,
+                  "x86_v4": bool(__cpu_features__.get("X86_V4"))},
         "wall_clock_s": time.monotonic() - started,
         "n_terms": run.get("n_terms"),
         "config": {**cfg, "seed": run["seed"]},

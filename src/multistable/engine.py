@@ -192,16 +192,21 @@ def _diagonal_values(env: PoissonEnvironment, spec: ProcessSpec,
                      grid: np.ndarray, prefs: np.ndarray,
                      ss: np.ndarray) -> np.ndarray:
     """Y(t) of one environment on the grid, given its _grid_scales."""
-    # log(w / Gamma); the levy weights are all 1, and 0 - x is exactly -x
+    # log(w / Gamma); the levy weights are all 1, and 0 - x is exactly -x.
+    # The lmmm kernel takes its powers of |x| as exp(kappa log|x|), with
+    # log|x| taken here once for the whole grid
     log_ratio = np.log(env.arrivals)
     if spec.tag == "levy":
         np.negative(log_ratio, out=log_ratio)
+        log_ax = None
     else:
         np.subtract(np.log(env.weights), log_ratio, out=log_ratio)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at the kink x = 0
+            log_ax = np.log(np.abs(env.points))
     term = np.empty_like(log_ratio)
     values = np.empty(grid.shape[0])
     for g, t in enumerate(grid):
-        f = spec.kernel.evaluate(float(t), float(t), env.points)
+        f = spec.kernel.evaluate(float(t), float(t), env.points, log_ax)
         # the products of signs * exp(s log_ratio) * f, in that order
         np.multiply(log_ratio, ss[g], out=term)
         np.exp(term, out=term)

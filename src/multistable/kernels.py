@@ -6,7 +6,10 @@ density 1/w), because a measure's sampler returns each point V_i with its
 weight and the series always multiplies each point by w(V_i)^(1/alpha(t)).
 
 Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
-the localisability probes also vary u.
+the localisability probes also vary u.  Kernel.evaluate takes an optional
+fourth argument, log|x| of the points: the series passes it once per
+environment, and the lmmm kernel then takes each power as exp(kappa log)
+rather than by ** (_power_diff).
 
 Also houses the kernel-specific integrals: the lmmm scale integral
 sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
@@ -117,9 +120,10 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel f(t,u,x), vectorized over x."""
+    """Kernel f(t,u,x), vectorized over x: evaluate(t, u, x, log_ax=None),
+    where log_ax, if given, is log|x|."""
 
-    evaluate: Callable[[float, float, np.ndarray], np.ndarray]
+    evaluate: Callable[..., np.ndarray]
     # exponent kappa(u) = H(u) - 1/alpha(u) for the lmmm family, None for levy
     kappa: Optional[Callable[[float], float]] = None
     # side weights (b_plus, b_minus) of the lmmm family; None means (1, 1)
@@ -134,7 +138,8 @@ def _levy_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
 def levy_kernel() -> tuple[Kernel, MeasureSpec]:
     """Indicator kernel 1_[0,t](x), Lebesgue probability measure on [0,1]."""
 
-    def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
+    def evaluate(t: float, u: float, x: np.ndarray,
+                 log_ax: Optional[np.ndarray] = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= t)).astype(float)
 
@@ -152,14 +157,22 @@ def _lmmm_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
 
 def _power_diff(t: float, k: float, x: np.ndarray,
                 weights: Optional[tuple[float, float]] = None,
-                anchor: Optional[np.ndarray] = None) -> np.ndarray:
-    """|t-x|^k - |x|^k, switching to |x|^k * expm1(k*log1p(+-t/|x|)) far from
-    the kinks where the direct difference cancels catastrophically.  Side
-    weights (b_plus, b_minus) scale each power by b_plus left of its kink
-    and by b_minus right of it.  With an anchor, x is the offset from it."""
+                anchor: Optional[np.ndarray] = None,
+                log_ax: Optional[np.ndarray] = None) -> np.ndarray:
+    """|t-x|^k - |x|^k, switching to |x|^k * expm1(k*log1p(-t/x)) far from
+    the kinks where the direct difference cancels catastrophically, with
+    the |x|^k already taken.  Side weights (b_plus, b_minus) scale each
+    power by b_plus left of its kink and by b_minus right of it.  With an
+    anchor, x is the offset from it.
+
+    With log_ax = log|x|, which the series takes once per environment, the
+    powers are exp(k log|t-x|) and exp(k log_ax), one log per call.  0^k is
+    0, 1 or inf as with **, but k = 0 takes ** (exp(0 log 0) is NaN).  The pair integrals pass no
+    log_ax and keep ** until band 1's quad goes (ROADMAP 7a): a log would
+    slow its one-point float branch."""
     # one near point (band 1's quad nodes) on floats, the same operations as
     # below; the powers stay numpy's, whose last bit can differ from
-    # Python's.  Goes when ROADMAP 5b retires band 1's quad
+    # Python's.  Goes when ROADMAP 7a retires band 1's quad
     if (x.ndim == 0 and anchor is None
             and abs(xv := float(x)) <= 8.0 * (1.0 + abs(t))):
         tx = t - xv
@@ -173,19 +186,30 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     tx, x = (t - x, x) if anchor is None else ((t - anchor) - x, anchor + x)
     ax = np.abs(x)
     far = (ax > 8.0 * (1.0 + abs(t))).nonzero()[0]
+    if k == 0.0:
+        log_ax = None
+    if log_ax is None:
+        pa, pb = np.abs(tx) ** k, ax ** k
+    else:
+        pa = np.abs(tx)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at the kink x = t
+            np.log(pa, out=pa)
+        pa *= k
+        np.exp(pa, out=pa)
+        pb = np.multiply(log_ax.ravel(), k)
+        np.exp(pb, out=pb)
     if weights is None:
-        out = np.abs(tx) ** k - ax ** k
+        out = np.subtract(pa, pb, out=pa)
     else:
         bp, bm = weights
-        out = (np.where(tx > 0.0, bp, bm) * np.abs(tx) ** k
-               - np.where(x < 0.0, bp, bm) * ax ** k)
+        out = np.where(tx > 0.0, bp, bm) * pa - np.where(x < 0.0, bp, bm) * pb
     if far.size:
-        xf, sf = ax[far], np.sign(x[far])
+        xf = x[far]
         # |t-x| - |x| is exactly -t*sign(x) once |x| > |t|, and both powers
         # lie on the same side of their kinks
-        vf = xf ** k * np.expm1(k * np.log1p(-t * sf / xf))
+        vf = pb[far] * np.expm1(k * np.log1p(-t / xf))
         if weights is not None:
-            vf *= np.where(sf > 0.0, bm, bp)
+            vf *= np.where(xf > 0.0, bm, bp)
         out[far] = vf
     return out.reshape(shape)
 
@@ -199,9 +223,10 @@ def lmmm_kernel(alpha: FuncSpec, H: FuncSpec,
     def kappa(u: float) -> float:
         return H(u) - 1.0 / alpha(u)
 
-    def evaluate(t: float, u: float, x: np.ndarray) -> np.ndarray:
+    def evaluate(t: float, u: float, x: np.ndarray,
+                 log_ax: Optional[np.ndarray] = None) -> np.ndarray:
         return _power_diff(t, kappa(u), np.asarray(x, dtype=float),
-                           side_weights)
+                           side_weights, log_ax=log_ax)
 
     return (Kernel(evaluate=evaluate, kappa=kappa, side_weights=side_weights),
             MeasureSpec(sample=_lmmm_sample))

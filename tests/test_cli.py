@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -18,6 +19,7 @@ from multistable import cli, engine, expr
 from multistable.cli import SCHEMA, build_spec, main
 from multistable.estimate import theoretical_scaling
 
+import pins
 from pins import pin
 
 LEVY_CFG = {
@@ -275,6 +277,24 @@ def test_gauss_tail_time_cap(process, cap):
     cli.check_config(cfg, "path")
 
 
+def test_holder_paths_are_capped_by_bootstrap_memory(tmp_path, capsys,
+                                                    monkeypatch):
+    # the bootstrap's 2000 x m_paths int32 index stays within 1 GiB; 2^20
+    # paths pass the 2^24-value cap but would take 7.8 GiB
+    monkeypatch.setattr(cli, "holder_pathwise", None)  # never simulated
+    started = time.perf_counter()
+    assert _run(tmp_path, _holder_cfg(m_paths=2 ** 20), "holder") == 2
+    assert time.perf_counter() - started < 1.0
+    assert "'m_paths'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.check_config(_holder_cfg(m_paths=134217), "holder")
+    with pytest.raises(cli.ConfigError, match="'m_paths'"):
+        cli.check_config(_holder_cfg(m_paths=134218), "holder")
+    # moments draws no bootstrap
+    cli.check_config(_moments_cfg(m_paths=2 ** 20, eps=[0.1, 0.2]),
+                     "moments")
+
+
 def test_level_family_length_is_capped(monkeypatch):
     monkeypatch.setattr(cli, "_MAX_VALUES", 10)
     assert len(cli._parse_levels({"start_exp": -4, "stop_exp": -13})) == 10
@@ -506,8 +526,8 @@ PINNED_OUTPUTS = [
                     H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.5,
                     r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=509,
                     tail="gauss", seed=0), "holder.csv",
-     pin("9fc3d587fb0c6d1dc2c184df9b29d07e614dad29823b021cf6738eb84e0438c9",
-         "a78cdef00dc6104e2ca2314e5b03a63314ee826f042c42f3920785530a587965")),
+     pin("877c4ebe18f19d905010e86ba1286192d0f65d9977260ada0bfc5f627e9f749b",
+         "70903f3054a0ed7c9ac450231ed312ff68bf344af925866e6a629dcf74f89c80")),
     ("holder", dict(LEVY_CFG, alpha="1.5", stability_bounds=[1.2, 1.8],
                     t=0.5, r={"start_exp": -4, "stop_exp": -9}, m_paths=300,
                     n_terms=300), "holder.csv",
@@ -523,8 +543,8 @@ PINNED_OUTPUTS = [
                     H="0.7+0.1*t", stability_bounds=[1.45, 1.95], t=0.8,
                     r=[2.0 ** -6, 2.0 ** -7, 2.0 ** -8], m_paths=64,
                     tail="gauss", seed=0), "holder.csv",
-     pin("2713e7676c1c891563f7b0c17b12e3f8cd824fdce090354c2e26249e2b794420",
-         "f359ac49c895676515d92f86e640ab44c8a7d7ae976615efd47ef2f640f6b897")),
+     pin("747d516272ce8edd7edaa174390395fc05224128c426801a71832f7ee0a09afd",
+         "8e3c10d52efc4ad18ba6a985c50cf3315dd0db47051bd09bea96f4c606652490")),
 ]
 
 
@@ -533,6 +553,20 @@ def test_output_bytes_pinned(tmp_path, command, cfg, name, digest):
     assert _run(tmp_path, cfg, command) == 0
     raw = (tmp_path / "out" / name).read_bytes()
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_manifest_names_the_dispatch_class(tmp_path):
+    # the bytes depend on the NumPy version and dispatch class (pins.py);
+    # the manifest records both and still reruns to the same CSV
+    cfg = _path_cfg(process="lmmm", alpha="1.7+0.2*sin(2*pi*t)",
+                    H="0.7+0.1*t", stability_bounds=[1.45, 1.95], n_paths=2)
+    assert _run(tmp_path, cfg, "path", out="a") == 0
+    man = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert man["numpy"] == {"version": np.__version__, "x86_v4": pins.X86_V4}
+    assert main(["path", "--config", str(tmp_path / "a" / "manifest.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "path.csv").read_bytes()
+            == (tmp_path / "b" / "path.csv").read_bytes())
 
 
 class TestMomentsCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multistable import cli, engine
-from multistable.engine import (_STREAMS, PoissonEnvironment, _substream,
+from multistable.engine import (_STREAMS, PoissonEnvironment,
+                                _diagonal_values, _grid_scales, _substream,
                                 arrival_tail_sum, build_environment,
                                 eval_diagonal_path, tail_covariance,
                                 tail_draw, tail_sqrt, truncation_diagnostic)
@@ -110,20 +112,20 @@ _GOLDEN = {
                    "a42bc32749b469925f8ce6412d7c13de"),
         "weights": ("eee75554834dacbf1c473f8375b48fd8"
                     "8be78a9c396ee19c8ae4ae30022ead80"),
-        "path": pin("e0ebf8f4ae53656dbfd886a46cc868f0"
-                    "6443495cbc9b8b6d0839d8b804ff7ee9",
-                    "e4c43dae7528c990886058f1f0702c65"
-                    "bffb7e7c62e14feffec946566c4c849b"),
+        "path": pin("8b13b9cb1a477b3d9de4133a8a59845d"
+                    "de0624ac38d4226e36eaff249d9eef52",
+                    "98c627f41b34a26fae6cca3fd55ecfad"
+                    "8db9be71145e25b368f2a305b367a808"),
     },
     "lfsm-control": {
         "points": ("7bfc3b53a20a2343ee3382d09f5d14e4"
                    "a42bc32749b469925f8ce6412d7c13de"),
         "weights": ("eee75554834dacbf1c473f8375b48fd8"
                     "8be78a9c396ee19c8ae4ae30022ead80"),
-        "path": pin("748aa33830ded1a4ddd471468e9587bc"
-                    "35c38a82aca700d8c565c86523f25b96",
-                    "2a9069996ea9042f99f927ca9a1119f6"
-                    "faf28ad902bc561ec9d2349d1f4d6a4e"),
+        "path": pin("94f6dad0d7f4986fc22cb9f8f885fa1d"
+                    "cd1b35d26d86343989d5f35a3cffab51",
+                    "95199af28333994a5d70f8673742426d"
+                    "7dffe24a89b813d2b09d782ee4d3a930"),
     },
 }
 
@@ -149,6 +151,35 @@ def test_environment_and_path_bytes_are_pinned(tag):
     got = {k: hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes())
            .hexdigest() for k, v in arrays.items()}
     assert got == {**_GOLDEN_SHARED, **_GOLDEN[tag]}
+
+
+@pytest.mark.parametrize("model", [
+    ("lmmm", "1.7+0.2*sin(2*pi*t)", "0.7+0.1*t", 1.0),
+    ("lmmm", "1.2", "0.5", 1.0),  # kappa -1/3
+    ("lfsm-control", "1.7", "0.75", 0.3),
+    ("lfsm-control", "1.5", "0.5", 0.3),  # kappa -1/6
+], ids=["lmmm", "lmmm-negative-kappa", "lfsm-control",
+        "lfsm-control-negative-kappa"])
+def test_shared_log_agrees_with_power_form(model):
+    # the series hands each environment's log|x| to the kernel, which then
+    # takes its powers as exp(kappa log); without it they are **
+    tag, alpha, H, b_minus = model
+    spec = make_process(tag, _fs(alpha), _fs("1"), _fs(H), (0.0, 1.0), 1.1,
+                        1.9, b_minus=b_minus)
+    evaluate = spec.kernel.evaluate
+    power = dataclasses.replace(spec, kernel=dataclasses.replace(
+        spec.kernel, evaluate=lambda t, u, x, log_ax: evaluate(t, u, x)))
+    grid = np.linspace(0.0, 1.0, 9)
+    prefs, ss = _grid_scales(spec, grid)
+    envs = [build_environment(spec, 4000, seed=3, index=i) for i in range(16)]
+    # the far points, |x| > 8 (1 + t), take the expm1 form
+    assert sum(np.count_nonzero(np.abs(e.points) > 16.0) for e in envs) > 2000
+    got = np.array([_diagonal_values(e, spec, grid, prefs, ss) for e in envs])
+    want = np.array([_diagonal_values(e, power, grid, prefs, ss)
+                     for e in envs])
+    assert got.tobytes() != want.tobytes()
+    # measured: 9.8e-15 of each time's largest value, at kappa -1/3
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=0))
 
 
 class TestFieldEvaluation:

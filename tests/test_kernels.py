@@ -228,6 +228,30 @@ def test_power_diff_one_point_is_bit_identical_to_array(t, k, weights):
                 assert type(got) is np.float64
 
 
+@pytest.mark.parametrize("weights", [None, (1.0, 0.3)])
+@pytest.mark.parametrize("k", [-1.0 / 3.0, 0.0, 0.2])
+def test_power_diff_from_shared_log_is_exact_at_the_kinks(k, weights):
+    # the series passes log|x|, and the powers become exp(k log): at the
+    # kinks x = 0 and x = t the vanishing power must be 0, 1 or inf as
+    # with ** (exp(0 log 0) alone would be NaN), with no warning from log 0
+    t = 0.7
+    x = np.array([0.0, t, -t, 0.37, -2.5, 30.0, -1e15])
+    with np.errstate(divide="ignore"):
+        log_ax = np.log(np.abs(x))
+        want = _power_diff(t, k, x, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _power_diff(t, k, x, weights, log_ax=log_ax)
+    assert not np.isnan(got).any()
+    pole = np.isinf(want)
+    assert pole[:2].all() == (k < 0.0) and not pole[2:].any()
+    assert np.array_equal(got[pole], want[pole])
+    # elsewhere within rounding of the two powers
+    xs = x[~pole]
+    scale = np.abs(t - xs) ** k + np.abs(xs) ** k
+    assert np.all(np.abs(got[~pole] - want[~pole]) <= 1e-15 * scale)
+
+
 class TestLevyKernel:
     def test_indicator_closed_at_both_ends(self):
         kernel, _ = levy_kernel()

@@ -79,6 +79,23 @@ def test_traced_child_run(tmp_path, command):
                 == layers["kernels.pair_integral.calls"] == 6)
 
 
+def test_traced_lmmm_path_evaluates_once_per_time_and_path(tmp_path):
+    # one Kernel.evaluate per grid time and environment, over all its
+    # points, and kappa taken inside it: the benchmark ranks (time, name)
+    # pairs, so an evaluate with no traced call inside would tie its
+    # self_s with its busy_s, and the self_s key would rank first
+    cfg = CASES["path"]
+    layers = _traced_run(tmp_path, "path", cfg)
+    calls = cfg["n_paths"] * cfg["grid"]["n"]
+    assert layers["kernels.evaluate.calls"] == calls
+    assert layers["kernels.evaluate.points"] == calls * cfg["n_terms"]
+    assert (layers["kernels.evaluate.self_s"]
+            < layers["kernels.evaluate.busy_s"])
+    # H and alpha at every call, and 14 calls outside the series (the
+    # grid's scales and the manifest's constants)
+    assert layers["expr.calls"] == 2 * calls + 14
+
+
 def test_traced_levy_moments_counts_every_environment(tmp_path):
     # the levy-moments workload in small: two workers, and 130 paths, so
     # each level spans two chunks.  The traced layers see one measure
