@@ -15,7 +15,8 @@ files byte for byte.
 
 The config keys, their types, bounds, defaults and the commands that read
 them are listed in SCHEMA below and in the config table of README.md.
-main checks every key the command reads before any work runs.
+main checks every key the command reads, then makes the --out directory,
+before any work runs.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 failed
 verification.
@@ -40,7 +41,7 @@ from .estimate import (_BOOT_RESAMPLES, diagonal_samples, ecf_compare,
                        estimate_increment_moments, fit_scaling,
                        holder_pathwise, ks_two_sample)
 from .expr import ExprError, FuncSpec
-from .kernels import ProcessSpec, make_process, sigma_lmmm
+from .kernels import _MAX_PAIR_T, ProcessSpec, make_process, sigma_lmmm
 from .stable import HALF_PERIODS, c_alpha, cms_sample, sin2_phase_integral
 
 try:  # the dispatch class, which the exp, log and ** bytes depend on
@@ -170,7 +171,8 @@ _SIM = ("path", "moments", "holder")
 
 # README.md mirrors this table.  check_config rejects any other key and adds
 # the cross-key rules: the count caps, the Gaussian tail's time cap, every
-# time (grid, t, t + eps, t + r) lies in the domain, and eta < c;
+# time (grid, t, t + eps, t + r) lies in the domain, and within |t| 256
+# for a pair-integral Gaussian tail, and eta < c;
 # make_process adds the model rules, which see the domain grid and every one
 # of those times.
 SCHEMA = (
@@ -300,12 +302,19 @@ def check_config(cfg: dict, command: str) -> dict:
         ts = np.atleast_1d(run["t"])  # holder takes a list of times
         times = {"t": ts, lev: np.add.outer(ts, run[lev]).ravel()}
     lo, hi = run["domain"]
+    pair_tail = run["tail"] == "gauss" and run["process"] != "levy"
     for key, xs in times.items():
         outside = xs[(xs < lo) | (xs > hi)]
         if outside.size:
             raise ConfigError(f"config key {key!r} puts time "
                               f"{float(outside[0])!r} outside the domain "
                               f"[{lo!r}, {hi!r}]")
+        far = xs[np.abs(xs) > _MAX_PAIR_T]
+        if pair_tail and far.size:
+            raise ConfigError(f"config key {key!r} puts time "
+                              f"{float(far[0])!r} beyond |t| = "
+                              f"{_MAX_PAIR_T:g}, where the Gaussian tail's "
+                              "pair integrals lose their far-field accuracy")
     spec = run["spec"] = build_spec(
         cfg, np.unique(np.concatenate(list(times.values()))))
     a = spec.alpha.grid_values
@@ -423,7 +432,6 @@ def cmd_path(cfg: dict, run: dict, args) -> int:
     vals = diagonal_samples(spec, grid, n_paths, run["n_terms"], run["seed"],
                             tail=run["tail"], workers=args.workers)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # rows are streamed: no list of n_paths x G rows is built
     ts = grid.tolist()
     if n_paths == 1:
@@ -452,7 +460,6 @@ def cmd_moments(cfg: dict, run: dict, args) -> int:
     th = [math.exp(fit.theory_intercept + fit.theory_slope * math.log(e))
           for e in eps]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "moments.csv",
                ("eps", "eta", "estimate", "stderr", "theory_estimate"),
                [(e, me.eta, m, s, tv) for e, m, s, tv in
@@ -490,7 +497,6 @@ def cmd_holder(cfg: dict, run: dict, args) -> int:
         drops[_fmt(t)] = {"increments": he.drop_count,
                           "paths": he.dropped_paths}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "holder.csv",
                ("t", "estimate", "ci_lo", "ci_hi", "theory", "drop_count"),
                rows)
@@ -576,7 +582,6 @@ def cmd_verify(cfg: dict, run: dict, args) -> int:
                      "pass" if val <= thr else "FAIL", *more)
               for name, val, thr, *more in _verify_checks(run, args)]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "verify.csv", _Check._fields[:4],
                [c[:4] for c in checks])
     _write_json(out / "verify.json", {"checks": [c._asdict() for c in checks]})
@@ -616,6 +621,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             cfg = {**cfg, "seed": args.seed}
         run = check_config(cfg, args.command)
+        try:  # before the run, which would otherwise be lost
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r} cannot be made a "
+                              f"directory: {exc.strerror}") from None
         return handlers[args.command](cfg, run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -247,12 +247,6 @@ def arrival_tail_sum(c: float | np.ndarray,
     return poch(n_terms, 1.0 - c) / (c - 1.0)
 
 
-def _non_finite(ts: list[float], cov: np.ndarray, i: int,
-                j: int) -> ArithmeticError:
-    return ArithmeticError(f"tail covariance at times {ts[i]!r} and "
-                           f"{ts[j]!r} is {float(cov[i, j])!r}")
-
-
 def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
                     n_terms: int) -> np.ndarray:
     """Covariance of the discarded series tail across the path times.
@@ -264,36 +258,34 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
         Cov(T_A, T_B) = pref_A pref_B S(N, s_A + s_B) R_AB
 
     with S the arrival_tail_sum and R_AB the pair integral at exponent
-    s_A + s_B.  Each pair integral takes its GL-8 band sums from
-    kernels.band_sums, which evaluates each time's kernel rows once for the
-    whole grid; the entries are those of one pair_integral call per pair.
+    s_A + s_B: min(tA, tB) for levy, else one pair_integral call per pair,
+    each taking its GL-8 band sums from one kernels.band_sums call for the
+    whole grid.  Row i of the upper triangle is one array expression,
+    written into row and column i; a non-finite entry raises, naming its
+    times.
     """
     ts = [float(t) for t in grid]
     G = len(ts)
     prefs, ss = _grid_scales(spec, ts)
-    if spec.tag == "levy":
-        # R_AB = min(tA, tB) (kernels.pair_integral), so each row is one
-        # array expression written into the matrix, its products in the
-        # order of the loop below; a non-finite entry raises below, naming
-        # its times
-        t = np.asarray(ts)
-        cov = np.empty((G, G))
-        for i in range(G):
-            tail = arrival_tail_sum(ss[i] + ss, n_terms)
-            with np.errstate(over="ignore", invalid="ignore"):
-                cov[i] = prefs[i] * prefs * tail * np.minimum(t[i], t)
-        bad = np.argwhere(~np.isfinite(cov))
-        if bad.size:  # the first in row order lies on or above the diagonal
-            raise _non_finite(ts, cov, *bad[0])
-        return cov
-    pairs = [(i, j, ss[i] + ss[j]) for i in range(G) for j in range(i, G)]
+    if spec.tag != "levy":
+        pairs = [(i, j, ss[i] + ss[j]) for i in range(G) for j in range(i, G)]
+        gl8 = iter(band_sums(spec, ts, pairs))
+    t = np.asarray(ts)
     cov = np.empty((G, G))
-    for (i, j, s), gl8 in zip(pairs, band_sums(spec, ts, pairs)):
-        r = pair_integral(spec, ts[i], ts[j], s, gl8=gl8)
-        tail = arrival_tail_sum(s, n_terms)
-        cov[i, j] = cov[j, i] = prefs[i] * prefs[j] * tail * r
-        if not np.isfinite(cov[i, j]):
-            raise _non_finite(ts, cov, i, j)
+    for i in range(G):
+        tail = arrival_tail_sum(ss[i] + ss[i:], n_terms)
+        if spec.tag == "levy":
+            r = np.minimum(t[i], t[i:])
+        else:
+            r = np.array([pair_integral(spec, ts[i], ts[j], ss[i] + ss[j],
+                                        gl8=next(gl8)) for j in range(i, G)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov[i, i:] = cov[i:, i] = prefs[i] * prefs[i:] * tail * r
+        bad = np.flatnonzero(~np.isfinite(cov[i, i:]))
+        if bad.size:
+            j = i + bad[0]
+            raise ArithmeticError(f"tail covariance at times {ts[i]!r} and "
+                                  f"{ts[j]!r} is {float(cov[i, j])!r}")
     return cov
 
 

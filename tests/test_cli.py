@@ -106,6 +106,25 @@ class TestConfigErrors:
         assert main(["path", "--config", str(p)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert main(["path", "--config", str(p)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/deeper"])
+    def test_out_is_checked_before_the_run(self, tmp_path, capsys,
+                                           monkeypatch, out):
+        # a file at or above --out once failed only after the simulation
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "diagonal_samples", never)
+        (tmp_path / "taken").write_text("")
+        assert _run(tmp_path, _path_cfg(), "path", out=out) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+
     def test_workers_must_be_positive(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, _path_cfg())
         assert main(["path", "--config", cfg_path, "--workers", "0"]) == 2
@@ -251,6 +270,18 @@ BAD_CONFIGS = [
     ("holder", _holder_cfg(process="lmmm", alpha="1.7", H="0.7",
                            stability_bounds=[1.45, 1.95],
                            r={"start_exp": -1, "stop_exp": -257}), "'r'"),
+    # the levy kernel never reads H, which the manifest would echo
+    ("path", _path_cfg(H="0.7"), "'H'"),
+    # a pair integral's far field holds only up to |t| = 256
+    ("path", _path_cfg(process="lmmm", alpha="1.7", H="0.7",
+                       stability_bounds=[1.45, 1.95], domain=[0, 5000],
+                       grid=[4000, 4000.5], tail="gauss"), "'grid'"),
+    ("moments", _moments_cfg(process="lmmm", alpha="1.7", H="0.7",
+                             stability_bounds=[1.45, 1.95], domain=[0, 5000],
+                             t=300.0), "'t'"),
+    ("holder", _holder_cfg(process="lfsm-control", alpha="1.7", H="0.7",
+                           stability_bounds=[1.45, 1.95], domain=[0, 5000],
+                           t=255.8, r=[0.25, 0.5]), "'r'"),
 ]
 
 
@@ -273,6 +304,19 @@ def test_gauss_tail_time_cap(process, cap):
     with pytest.raises(cli.ConfigError, match=f"{cap + 1} times"):
         cli.check_config(cfg, "path")
     # the bare series has no covariance to build
+    cfg["tail"] = "none"
+    cli.check_config(cfg, "path")
+
+
+def test_gauss_tail_times_end_at_256():
+    cfg = _path_cfg(process="lmmm", alpha="1.7", H="0.7", domain=[0, 300],
+                    stability_bounds=[1.45, 1.95], tail="gauss",
+                    grid=[0.5, 255.5, 256.0])
+    cli.check_config(cfg, "path")
+    cfg["grid"] = [255.5, 256.5]
+    with pytest.raises(cli.ConfigError, match="'grid' puts time 256.5"):
+        cli.check_config(cfg, "path")
+    # the bare series has no pair integral
     cfg["tail"] = "none"
     cli.check_config(cfg, "path")
 

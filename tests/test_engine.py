@@ -349,6 +349,18 @@ class TestTailCovariance:
                            match=rf"times 0\.25 and 0\.25 is {bad!r}"):
             tail_covariance(_lmmm_spec(), [0.25, 0.75], 500)
 
+    def test_non_finite_pair_names_both_times(self, monkeypatch):
+        # only the pair (0.25, 0.75) is non-finite: the second entry of the
+        # second row, which is named only if the row's offset is kept
+        exact = engine.pair_integral
+        monkeypatch.setattr(
+            engine, "pair_integral", lambda spec, tA, tB, s, **kw:
+            math.inf if (tA, tB) == (0.25, 0.75)
+            else exact(spec, tA, tB, s, **kw))
+        with pytest.raises(ArithmeticError,
+                           match=r"times 0\.25 and 0\.75 is inf"):
+            tail_covariance(_lmmm_spec(), [0.1, 0.25, 0.75], 500)
+
     @pytest.mark.parametrize("grid,bad", [([0.25, 0.75], "0.25 is inf"),
                                           ([0.0, 0.5], "0.0 is nan")])
     def test_non_finite_levy_entry_names_its_times(self, grid, bad):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from multistable import kernels
 from multistable.expr import FuncSpec
 from multistable.kernels import (_band_guide, _band_table,
                                  _bands_from_uniform, _far_bands,
@@ -515,6 +516,27 @@ class TestPairIntegral:
         s_sum = 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(tB)
         assert float(pair_integral(spec, tA, tB, s_sum)).hex() == want
 
+    @pytest.mark.parametrize("tag,alpha,H,weights,tA", [
+        ("lmmm", "1.7", "0.75", (1.0, 1.0), 256.0),
+        ("lmmm", "1.2", "0.5", (1.0, 1.0), 256.0),
+        ("lfsm-control", "1.7", "0.75", (1.0, 0.3), 256.0),
+        ("lmmm", "1.7+0.2*sin(2*pi*t)", "0.7", (1.0, 1.0), 1.0)])
+    def test_far_field_holds_up_to_t_256(self, monkeypatch, tag, alpha, H,
+                                         weights, tA):
+        # the far field past band 4096 is first order in t/|x|; at |t| 256
+        # it is within 9.5e-5 of the same code with 2^18 bands, and beyond
+        # 256 pair_integral refuses it
+        dom = (0.0, 300.0)
+        spec = make_process(tag, _fs(alpha, dom), _fs("1", dom), _fs(H, dom),
+                            dom, 1.15, 1.95, *weights)
+        s_sum = 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(256.0)
+        got = pair_integral(spec, tA, 256.0, s_sum)
+        monkeypatch.setattr(kernels, "_J0", 2 ** 18)
+        want = pair_integral(spec, tA, 256.0, s_sum)
+        assert abs(got / want - 1.0) < 2e-4
+        with pytest.raises(ValueError, match="256"):
+            pair_integral(spec, tA, 300.0, s_sum)
+
     @pytest.mark.parametrize("tA,tB,kA,kB,weights", [
         (0.5, 0.5 + 2.0 ** -17, -1.0 / 3.0, -1.0 / 3.0, (1.0, 1.0)),
         (0.3, 0.8, -1.0 / 3.0, -1.0 / 3.0, (1.0, 1.0)),
@@ -564,6 +586,12 @@ class TestMakeProcess:
         with pytest.raises(ValueError, match="H"):
             make_process("lmmm", _fs("1.7"), _fs("1"), None, (0.0, 1.0),
                          1.2, 1.9)
+
+    def test_levy_takes_no_H(self):
+        # the indicator kernel never reads H, which a manifest would echo
+        with pytest.raises(ValueError, match="'H'"):
+            make_process("levy", _fs("1.5"), _fs("1"), _fs("0.7"),
+                         (0.0, 1.0), 1.2, 1.9)
 
     def test_H_leaving_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="H range"):

@@ -99,7 +99,9 @@ def test_traced_lmmm_path_evaluates_once_per_time_and_path(tmp_path):
 def test_traced_levy_moments_counts_every_environment(tmp_path):
     # the levy-moments workload in small: two workers, and 130 paths, so
     # each level spans two chunks.  The traced layers see one measure
-    # sample and one tail draw per environment, one simulation per level
+    # sample and one tail draw per environment, one simulation per level,
+    # and a covariance of three pairs per level whose R = min(tA, tB)
+    # never reaches the traced pair integral
     cfg = {"process": "levy", "alpha": "1.5+0.3*sin(2*pi*t)",
            "stability_bounds": [1.1, 1.9], "n_terms": 200, "t": 0.3,
            "eta": 0.5, "m_paths": 130, "eps": [2.0 ** -4, 2.0 ** -5]}
@@ -107,6 +109,8 @@ def test_traced_levy_moments_counts_every_environment(tmp_path):
     assert (layers["engine.tail_draw.calls"]
             == layers["kernels.sample.calls"] == 130 * 2)
     assert layers["estimate.diagonal_samples.calls"] == 2
+    assert layers["kernels.pair_integral.calls"] == 0
+    assert layers["engine.tail_covariance.pairs"] == 6
 
 
 def test_traced_holder_next_to_band_two(tmp_path):
