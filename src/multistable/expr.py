@@ -3,7 +3,9 @@
 Configuration files define the stability index, the Hurst function and the
 scale function as strings like ``"1.5+0.3*sin(2*pi*t)"``.  This module
 tokenizes and parses those expressions, and compiles each parsed tree
-once into nested Python closures, one per node, that a run then calls.
+once into one Python function, which a run then calls: ``+``, ``-``, ``*``
+and unary minus are written inline, and every other node calls its guarded
+table function.
 
 Grammar, in decreasing binding power:
 
@@ -11,7 +13,7 @@ Grammar, in decreasing binding power:
 
 so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  One table holds
 the binary operators (``_BINARY``) and one the closed function set
-(``_FUNCTIONS``); the tokenizer, the parser and the compiled closures all
+(``_FUNCTIONS``); the tokenizer, the parser and the compiled functions all
 read them.  ``pi`` and ``e`` are the only named constants and ``t`` the only
 variable.  Digits and names are ASCII.
 """
@@ -197,7 +199,10 @@ def _tokenize(source: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Pratt parser
 
-_MAX_DEPTH = 100  # compilation and the compiled closures recurse over the AST
+# the most levels of nesting, parentheses included, and so the highest tree:
+# compilation recurses over the tree, and the compiled function nests one
+# Python expression per level, which compile() must accept
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -226,31 +231,36 @@ class _Parser:
             raise ParseError(f"expected {text!r}", tok.offset)
         self.advance()
 
-    def parse(self, min_bp: int = 0) -> ExprAst:
+    def parse(self, min_bp: int = 0) -> tuple[ExprAst, int]:
+        """The next expression and its tree's height.  Parsing at depth d
+        returns a height of at most _MAX_DEPTH - d."""
         entry = self.depth
         self.deeper()
-        node = self.parse_prefix()
+        node, height = self.parse_prefix()
         while True:
             tok = self.peek()
             if tok.text not in _BINARY or _BINARY[tok.text][0] < min_bp:
                 break
             bp, right_assoc, _ = _BINARY[tok.text]
             self.advance()
-            self.deeper()  # node moves one level down the tree
-            right = self.parse(bp if right_assoc else bp + 1)
+            # node, of its height, moves one level down the tree
+            self.depth = entry + height
+            self.deeper()
+            right, right_height = self.parse(bp if right_assoc else bp + 1)
             node = BinOp(tok.text, node, right)
+            height = 1 + max(height, right_height)
         self.depth = entry
-        return node
+        return node, height
 
-    def parse_prefix(self) -> ExprAst:
+    def parse_prefix(self) -> tuple[ExprAst, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "name":
             if tok.text == "t":
-                return Var()
+                return Var(), 1
             if tok.text in _CONSTANTS:
-                return Num(_CONSTANTS[tok.text])
+                return Num(_CONSTANTS[tok.text]), 1
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")
                 args = [self.parse(0)]
@@ -262,16 +272,18 @@ class _Parser:
                 if len(args) != arity:
                     raise ParseError(f"{tok.text} takes {arity} argument(s), "
                                      f"got {len(args)}", tok.offset)
-                return Call(tok.text, tuple(args))
+                nodes, heights = zip(*args)
+                return Call(tok.text, nodes), 1 + max(heights)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
         if tok.text == "-":
-            return Neg(self.parse(_BP_NEG))
+            child, height = self.parse(_BP_NEG)
+            return Neg(child), 1 + height
         if tok.text == "+":
             return self.parse(_BP_NEG)
         if tok.text == "(":
-            node = self.parse(0)
+            inner = self.parse(0)
             self.expect_op(")")
-            return node
+            return inner
         raise ParseError("expected a value", tok.offset)
 
 
@@ -280,7 +292,7 @@ def parse_expr(source: str) -> ExprAst:
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse(0)
+    node, _ = parser.parse(0)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
@@ -291,41 +303,57 @@ def parse_expr(source: str) -> ExprAst:
 # compilation
 
 
-def _compile_node(ast: ExprAst) -> Callable[[float], float]:
-    """One closure per node, applying the node's table function to its
-    children's values, left before right."""
-    if isinstance(ast, Num):
-        value = ast.value
-        return lambda t: value
-    if isinstance(ast, Var):
-        return lambda t: t
-    if isinstance(ast, Neg):
-        child = _compile_node(ast.child)
-        return lambda t: -child(t)
-    if isinstance(ast, BinOp):
-        fn = _BINARY[ast.op][2]
-        left, right = _compile_node(ast.left), _compile_node(ast.right)
-        return lambda t: fn(left(t), right(t))
-    fn = _FUNCTIONS[ast.name][1]
-    if len(ast.args) == 1:
-        arg = _compile_node(ast.args[0])
-        return lambda t: fn(arg(t))
-    first, second = map(_compile_node, ast.args)  # every other arity is 2
-    return lambda t: fn(first(t), second(t))
+# the operators a compiled function writes inline, by table function: on
+# floats each is the same IEEE operation; the rest call their function
+_INLINE = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
+
+
+def _non_finite(value: float, t) -> None:
+    raise EvalError(f"non-finite result {value!r} at t={t!r}")
 
 
 def _compile(ast: ExprAst) -> Callable[[float], float]:
-    """``ast`` as a function of ``t``; any non-finite value raises
-    :class:`EvalError`."""
-    node = _compile_node(ast)
+    """``ast`` as one Python function of ``t``; any non-finite value raises
+    :class:`EvalError`.
 
-    def evaluate(t: float) -> float:
-        value = node(float(t))
-        if not math.isfinite(value):
-            raise EvalError(f"non-finite result {value!r} at t={t!r}")
-        return value
+    The function's body is one expression in ``x = float(t)``: ``+``, ``-``,
+    ``*`` and unary minus inline, every other node a call of its table
+    function, operands left before right, as the tree walk takes them.
+    Constants and functions are globals of the function, named by their
+    order, so the source holds no text of the expression and no string."""
+    bound = {}
 
-    return evaluate
+    def bind(obj) -> str:
+        name = f"_{len(bound)}"
+        bound[name] = obj
+        return name
+
+    def source(node: ExprAst) -> str:
+        if isinstance(node, Num):
+            return bind(node.value)
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Neg):
+            return f"(-{source(node.child)})"
+        if isinstance(node, BinOp):
+            fn = _BINARY[node.op][2]
+            left, right = source(node.left), source(node.right)
+            if fn in _INLINE:
+                return f"({left} {_INLINE[fn]} {right})"
+            return f"{bind(fn)}({left}, {right})"
+        fn = _FUNCTIONS[node.name][1]
+        return f"{bind(fn)}({', '.join(map(source, node.args))})"
+
+    code = ("def evaluate(t):\n"
+            "    x = _float(t)\n"
+            f"    value = {source(ast)}\n"
+            "    if not _isfinite(value):\n"
+            "        _non_finite(value, t)\n"
+            "    return value\n")
+    scope = {"__builtins__": {}, "_float": float, "_isfinite": math.isfinite,
+             "_non_finite": _non_finite, **bound}
+    exec(compile(code, "<model function>", "exec"), scope)
+    return scope["evaluate"]
 
 
 def eval_expr(ast: ExprAst, t: float) -> float:

@@ -18,11 +18,12 @@ path times that drive truncation-tail covariances.  All run on one graded
 Gauss-Legendre rule but band 1 of the pair integral where both exponents
 are >= 0, the last adaptive quad, which waits for a benchmark not chosen
 for its cost.  Its integrand calls Kernel.evaluate at both times for each
-node, as the benchmark's traced ranking expects, and passes the node as a
-float, which _power_diff evaluates on floats rather than as a one-element
-array.  A tail covariance evaluates each time's kernel rows on the GL-8
-nodes of bands 2..4096 once (band_sums), not once per pair that holds the
-time, and each pair integral takes its sums of those bands from them.
+node, as the benchmark's traced ranking expects, and passes quad's Python
+float straight through, which _power_diff evaluates on floats, not as a
+one-element array, and returns as a float.  A tail covariance evaluates
+each time's kernel rows on the GL-8 nodes of bands 2..4096 once
+(band_sums), not once per pair that holds the time, and each pair integral
+takes its sums of those bands from them.
 
 SciPy is imported inside the two functions that call it, quad in
 pair_integral and zeta in _far_bands, so only a run that reaches an lmmm
@@ -167,21 +168,26 @@ def _power_diff(t: float, k: float, x: np.ndarray,
 
     With log_ax = log|x|, which the series takes once per environment, the
     powers are exp(k log|t-x|) and exp(k log_ax), one log per call.  0^k is
-    0, 1 or inf as with **, but k = 0 takes ** (exp(0 log 0) is NaN).  The pair integrals pass no
-    log_ax and keep ** until band 1's quad goes (ROADMAP 7a): a log would
-    slow its one-point float branch."""
-    # one near point (band 1's quad nodes) on floats, the same operations as
-    # below; the powers stay numpy's, whose last bit can differ from
-    # Python's.  Goes when ROADMAP 7a retires band 1's quad
-    if (x.ndim == 0 and anchor is None
-            and abs(xv := float(x)) <= 8.0 * (1.0 + abs(t))):
-        tx = t - xv
-        pa, pb = (np.array((abs(tx), abs(xv))) ** k).tolist()
+    0, 1 or inf as with **, but k = 0 takes ** (exp(0 log 0) is NaN).  The
+    pair integrals pass no log_ax and keep ** until band 1's quad goes
+    (ROADMAP 7a): a log would slow its one-point float branch.
+
+    x is an array, or a Python float with no anchor: a float within the
+    far-field edge (band 1's quad nodes) takes a float branch and returns a
+    Python float, with the bytes of the array form; a 0-d array takes the
+    array form."""
+    # the same operations as the array form; the powers stay numpy's, whose
+    # last bit can differ from Python's.  Goes when ROADMAP 7a retires band
+    # 1's quad
+    if type(x) is float and abs(x) <= 8.0 * (1.0 + abs(t)):
+        tx = t - x
+        pa, pb = (np.array((abs(tx), abs(x))) ** k).tolist()
         if weights is not None:
             bp, bm = weights
             pa *= bp if tx > 0.0 else bm
-            pb *= bp if xv < 0.0 else bm
-        return np.float64(pa - pb)
+            pb *= bp if x < 0.0 else bm
+        return pa - pb
+    x = np.asarray(x, dtype=float)
     shape, x = x.shape, x.ravel()
     tx, x = (t - x, x) if anchor is None else ((t - anchor) - x, anchor + x)
     ax = np.abs(x)
@@ -201,15 +207,17 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     if weights is None:
         out = np.subtract(pa, pb, out=pa)
     else:
-        bp, bm = weights
-        out = np.where(tx > 0.0, bp, bm) * pa - np.where(x < 0.0, bp, bm) * pb
+        # b_plus where a mask holds, else b_minus
+        side = np.array(weights[::-1]).take
+        out = (side((tx > 0.0).view(np.uint8)) * pa
+               - side((x < 0.0).view(np.uint8)) * pb)
     if far.size:
         xf = x[far]
         # |t-x| - |x| is exactly -t*sign(x) once |x| > |t|, and both powers
         # lie on the same side of their kinks
         vf = pb[far] * np.expm1(k * np.log1p(-t / xf))
         if weights is not None:
-            vf *= np.where(xf > 0.0, bm, bp)
+            vf *= side((xf < 0.0).view(np.uint8))
         out[far] = vf
     return out.reshape(shape)
 
@@ -225,8 +233,7 @@ def lmmm_kernel(alpha: FuncSpec, H: FuncSpec,
 
     def evaluate(t: float, u: float, x: np.ndarray,
                  log_ax: Optional[np.ndarray] = None) -> np.ndarray:
-        return _power_diff(t, kappa(u), np.asarray(x, dtype=float),
-                           side_weights, log_ax=log_ax)
+        return _power_diff(t, kappa(u), x, side_weights, log_ax=log_ax)
 
     return (Kernel(evaluate=evaluate, kappa=kappa, side_weights=side_weights),
             MeasureSpec(sample=_lmmm_sample))
@@ -522,7 +529,7 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float, s_sum: float,
         pts = sorted({k for k in (0.0, tA, tB) if -1.0 < k < 1.0})
 
         def band1(x: float) -> float:
-            return float(fA(x) * fB(x))
+            return fA(x) * fB(x)
 
         v1 = quad(band1, -1.0, 1.0, points=pts, epsabs=1e-13, epsrel=1e-12,
                   limit=600)[0]

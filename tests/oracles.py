@@ -6,7 +6,7 @@ route than the code it checks: direct oscillatory quadrature instead of
 gamma-function closed forms, plain segment sums instead of the dip-aware
 integrator, stratified Monte Carlo and Fourier closed forms instead of
 kink-split quadrature, a walk over the expression tree instead of its
-compiled closures, a per-path loop instead of one masked least-squares pass,
+compiled function, a per-path loop instead of one masked least-squares pass,
 a loop over pairs instead of one array expression.
 """
 

@@ -113,11 +113,26 @@ class TestParseErrors:
         ("1" + "+1" * 3000, 198),
     ])
     def test_nesting_depth_is_capped(self, src, offset):
-        # compilation and the compiled closures recurse over the tree, so a
-        # deep one must stop here instead of in a RecursionError
+        # compilation recurses over the tree and the compiled function
+        # nests one expression per level, so a deep one must stop here
+        # instead of in a RecursionError
         with pytest.raises(ParseError, match="deeper") as exc:
             parse_expr(src)
         assert exc.value.offset == offset
+
+    def test_chains_around_groups_are_capped(self):
+        # each group is the left operand of a chain around it, so the tree
+        # grows by a chain's length per group, not by one
+        src = "t"
+        for _ in range(40):
+            src = "(" + src + "+1" * 40 + ")"
+        with pytest.raises(ParseError, match="deeper"):
+            parse_expr(src)
+        src = "t"
+        for _ in range(9):
+            src = "(" + src + "+1" * 9 + ")"
+        assert _height(parse_expr(src)) == 82
+        assert eval_expr(parse_expr(src), 0.5) == 81.5
 
     def test_nesting_below_the_cap_parses(self):
         src = "1" + "+1" * 40 + "+" + "(" * 45 + "t" + ")" * 45
@@ -205,8 +220,13 @@ _TWO_FAILURES = (BinOp("/", Num(1.0), Num(0.0)),
 @example(ast=Call("max", _TWO_FAILURES[::-1]), t=0.0)
 @example(ast=Neg(BinOp("*", Var(), Num(0.0))), t=1.0)
 def test_compiled_matches_the_tree_walk(ast, t):
-    """The compiled closures return the tree walk's float bit for bit, sign
-    of zero included, and raise the same EvalError on the same inputs."""
+    """The compiled function returns the tree walk's float bit for bit,
+    sign of zero included, and raises the same EvalError on the same
+    inputs."""
+    _assert_matches_tree_walk(ast, t)
+
+
+def _assert_matches_tree_walk(ast, t):
     try:
         want = oracles.eval_tree(ast, float(t), expr._BINARY,
                                  expr._FUNCTIONS)
@@ -221,6 +241,64 @@ def test_compiled_matches_the_tree_walk(ast, t):
         assert str(got.value) == f"non-finite result {want!r} at t={t!r}"
         return
     assert _bits(eval_expr(ast, t)) == _bits(want)
+
+
+def _height(ast):
+    """Levels of the tree of ast."""
+    if isinstance(ast, Neg):
+        return 1 + _height(ast.child)
+    if isinstance(ast, BinOp):
+        return 1 + max(_height(ast.left), _height(ast.right))
+    if isinstance(ast, Call):
+        return 1 + max(map(_height, ast.args))
+    return 1
+
+
+def _deepest(opening, closing):
+    """The tree of opening * n + "t" + closing * n at the largest n the
+    parser admits."""
+    deepest = None
+    for n in range(1, 1000):
+        try:
+            deepest = parse_expr(opening * n + "t" + closing * n)
+        except ParseError:
+            return deepest
+    raise AssertionError("no nesting cap")
+
+
+@pytest.mark.parametrize("opening,closing", [
+    ("(", ")"),
+    ("-", ""),
+    ("", "^1.0001"),
+    ("", "+0.1*t"),
+    ("sin(", ")"),
+    ("min(", ",0.7-t)"),
+])
+def test_deepest_tree_compiles_and_matches_the_tree_walk(opening, closing):
+    # the compiled function nests one Python expression per level of the
+    # tree, and compile() must take the deepest tree the parser admits
+    ast = _deepest(opening, closing)
+    assert _height(ast) <= expr._MAX_DEPTH
+    for t in (-0.3, -0.0, 0.0, 0.45, 1.7):
+        _assert_matches_tree_walk(ast, t)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("log(0)+sqrt(0-1)", "log of non-positive"),
+    ("sqrt(0-1)-log(0)", "sqrt of negative"),
+    ("(0-2)^0.5*(1/0)", "fractional power"),
+    ("1/0/log(0)", "division by zero"),
+    ("(0^(0-1))^(1/0)", "zero raised"),
+    ("-sqrt(0-1)+1/0", "sqrt of negative"),
+    ("min(log(0), 1/0)", "log of non-positive"),
+    ("pow(1/0, sqrt(0-1))", "division by zero"),
+])
+def test_left_operand_raises_first(src, message):
+    # both operands are invalid: the left guard's EvalError is raised, as
+    # in the tree walk
+    with pytest.raises(EvalError, match=message):
+        ev(src)
+    _assert_matches_tree_walk(parse_expr(src), 0.0)
 
 
 class TestFuncSpec:

@@ -212,21 +212,53 @@ def test_power_diff_is_bit_identical_to_masked_form(t, k, weights):
 @pytest.mark.parametrize("t,k", [(0.0, 0.2), (0.3, 0.11), (0.7, -0.3),
                                  (0.5, 0.0), (-0.4, 0.6)])
 def test_power_diff_one_point_is_bit_identical_to_array(t, k, weights):
-    # band 1's quad passes one float at a time, which takes a float branch
-    # up to the far-field edge; value and sign of zero must be the array's
+    # band 1's quad passes one Python float at a time, which takes a float
+    # branch up to the far-field edge and returns a float; value and sign
+    # of zero must be the array's.  A 0-d array takes the array form
     edge = 8.0 * (1.0 + abs(t))
-    xs = [x for x0 in (0.0, t, edge, -edge) for x in
+    xs = [float(x) for x0 in (0.0, t, edge, -edge) for x in
           (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf))]
     xs += [-0.0, 0.37, -2.5, 1e3, -1e15]
     # at k < 0 the kinks x = 0 and x = t are poles, in both forms
     with (pytest.warns(RuntimeWarning, match="divide by zero") if k < 0.0
           else contextlib.nullcontext()):
         for x in xs:
-            got = _power_diff(t, k, np.asarray(x), weights)
             want = _power_diff(t, k, np.array([x]), weights)[0]
-            assert np.asarray(got).tobytes() == want.tobytes(), x
+            got = _power_diff(t, k, x, weights)
+            assert np.float64(got).tobytes() == want.tobytes(), x
             if abs(x) <= edge:
-                assert type(got) is np.float64
+                assert type(got) is float, x
+            got = _power_diff(t, k, np.asarray(x), weights)
+            assert got.shape == () and got.tobytes() == want.tobytes(), x
+
+
+def _power_diff_where(t, k, x, weights):
+    """_power_diff's near and far forms with each side weight chosen by
+    np.where on scalar arms: the form the weight lookup must repeat."""
+    bp, bm = weights
+    tx, ax = t - x, np.abs(x)
+    out = np.where(tx > 0.0, bp, bm) * np.abs(tx) ** k - np.where(
+        x < 0.0, bp, bm) * ax ** k
+    far = (ax > 8.0 * (1.0 + abs(t))).nonzero()[0]
+    xf = x[far]
+    out[far] = (ax[far] ** k * np.expm1(k * np.log1p(-t / xf))
+                * np.where(xf > 0.0, bm, bp))
+    return out
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.3), (0.3, 1.0)])
+@pytest.mark.parametrize("t,k", [(0.0, 0.2), (0.7, 0.45), (-0.4, 0.6),
+                                 (0.5, 0.0)])
+def test_side_weights_are_bit_identical_to_where_form(t, k, weights):
+    # the kinks, the far-field edge from both sides and both zeros, among
+    # lmmm points
+    edge = 8.0 * (1.0 + abs(t))
+    x, _ = _lmmm_sample(np.random.default_rng(5), 2000)
+    x = np.concatenate([x, [x1 for x0 in (t, -t, edge, -edge) for x1 in
+                            (x0, np.nextafter(x0, -np.inf),
+                             np.nextafter(x0, np.inf))], [0.0, -0.0]])
+    got = _power_diff(t, k, x, weights)
+    assert got.tobytes() == _power_diff_where(t, k, x, weights).tobytes()
 
 
 @pytest.mark.parametrize("weights", [None, (1.0, 0.3)])

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from multistable import expr
 from multistable.cli import check_config
 from multistable.kernels import pair_integral
 
@@ -231,6 +232,8 @@ def test_band_one_evaluates_the_kernel_twice_per_node(monkeypatch):
 
     def evaluate(*args):
         counts["evaluate"] += 1
+        # quad's node reaches _power_diff's float branch unwrapped
+        assert type(args[2]) is float
         return kernel.evaluate(*args)
 
     def quad(func, *args, **kwargs):
@@ -260,3 +263,45 @@ def test_no_module_level_scipy_import(path):
             continue
         assert all(n.split(".")[0] != "scipy" for n in names), (
             f"{path.name}:{node.lineno} imports scipy at module level")
+
+
+# builtins that turn text into code
+_DYNAMIC = {"compile", "exec", "eval"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_code_is_made_only_from_expression_trees(path):
+    """compile, exec and eval are named in src/ only inside expr._compile,
+    which writes a model function's code from its parsed tree."""
+    tree = ast.parse(path.read_text())
+    inside = set()
+    if path.name == "expr.py":
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                  and n.name == "_compile")
+        inside = {id(n) for n in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and node.attr != "compile":
+            name = node.attr  # re.compile builds a pattern, not code
+        else:
+            continue
+        assert name not in _DYNAMIC or id(node) in inside, (
+            f"{path.name}:{node.lineno} calls {name}")
+
+
+@pytest.mark.parametrize("source", [
+    *sorted({w.config[key] for w in WORKLOADS.values()
+             for key in ("alpha", "H") if key in w.config}),
+    "max(exp(-t^2/2), log(2+abs(t)))-min(sqrt(t*t), pow(cos(t), 2))+e/pi",
+])
+def test_compiled_model_functions_hold_no_text(source):
+    """A compiled model function's code holds no string constant and names
+    only its argument, its locals and globals numbered in order."""
+    code = expr._compile(expr.parse_expr(source)).__code__
+    assert not any(isinstance(c, (str, bytes)) or hasattr(c, "co_code")
+                   for c in code.co_consts)
+    assert code.co_varnames == ("t", "x", "value")
+    fixed = {"_float", "_isfinite", "_non_finite"}
+    assert all(n in fixed or n[1:].isdigit() for n in code.co_names)
