@@ -255,15 +255,14 @@ def build_spec(cfg: dict, times: Sequence[float] = ()) -> ProcessSpec:
     for key in funcs:
         if v[key] is not None:
             try:
-                funcs[key] = FuncSpec.parse(v[key], v["domain"], times)
-                # raises EvalError where the function cannot be evaluated
-                funcs[key].grid_values
+                funcs[key] = FuncSpec.parse(v[key])
             except ExprError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
     try:
         return make_process(v["process"], funcs["alpha"], funcs["b"],
                             funcs["H"], v["domain"], *v["stability_bounds"],
-                            b_plus=v["b_plus"], b_minus=v["b_minus"])
+                            b_plus=v["b_plus"], b_minus=v["b_minus"],
+                            times=times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -317,9 +316,9 @@ def check_config(cfg: dict, command: str) -> dict:
                               "pair integrals lose their far-field accuracy")
     spec = run["spec"] = build_spec(
         cfg, np.unique(np.concatenate(list(times.values()))))
-    a = spec.alpha.grid_values
+    a = spec.grid_values["alpha"]
     if run.get("tail") == "gauss" and spec.H is not None:
-        h = spec.H.grid_values
+        h = spec.grid_values["H"]
         if np.any((1.0 / a + h >= 1.5) | (h - 1.0 / a <= -0.5)):
             raise ConfigError("config key 'tail' is \"gauss\", but the "
                               "series terms have infinite variance where "

@@ -3,9 +3,11 @@
 Configuration files define the stability index, the Hurst function and the
 scale function as strings like ``"1.5+0.3*sin(2*pi*t)"``.  This module
 tokenizes and parses those expressions, and compiles each parsed tree
-once into one Python function, which a run then calls: ``+``, ``-``, ``*``
-and unary minus are written inline, and every other node calls its guarded
-table function.
+once into one Python function, which a run then calls: ``+``, ``-``,
+``*`` and unary minus are written inline, and every other node calls its
+guarded table function.  A :class:`FuncSpec` is the source, its tree and
+that function; the domain and the times the model rules are checked at
+are given once, to ``kernels.make_process``.
 
 Grammar, in decreasing binding power:
 
@@ -20,16 +22,12 @@ variable.  Digits and names are ASCII.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence, Union
-
-import numpy as np
+from typing import Callable, Union
 
 __all__ = [
     "ExprError",
@@ -367,15 +365,12 @@ def eval_expr(ast: ExprAst, t: float) -> float:
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A parsed model function with its declared domain interval and the
-    times a run evaluates it at besides the domain grid."""
+    """A parsed model function and its compiled form.  Where it may be
+    evaluated, and whether it obeys the model rules there, is make_process's
+    to check, on one grid for all the model functions of a process."""
 
     source: str
     ast: ExprAst
-    domain: tuple[float, float]
-    # an array, so it takes no part in == and hash
-    times: np.ndarray = field(default_factory=lambda: np.empty(0),
-                              compare=False, repr=False)
     # compiled once here, not on first use: runs call it from several threads
     compiled: Callable[[float], float] = field(init=False, compare=False,
                                                repr=False)
@@ -387,26 +382,5 @@ class FuncSpec:
         return self.compiled(t)
 
     @classmethod
-    def parse(cls, source: str, domain: tuple[float, float],
-              times: Sequence[float] = ()) -> "FuncSpec":
-        lo, hi = float(domain[0]), float(domain[1])
-        if not lo < hi:
-            raise ExprError(f"empty domain ({lo}, {hi})")
-        return cls(source=source, ast=parse_expr(source), domain=(lo, hi),
-                   times=np.asarray(times, dtype=float))
-
-    @cached_property
-    def grid_values(self) -> np.ndarray:
-        """Values on a uniform 257-point grid over the domain, then at the
-        run's times, evaluated once into one float array; raises
-        :class:`EvalError` naming the time where evaluation fails."""
-        n, (a, b) = 257, self.domain
-        grid = [a + (b - a) * k / (n - 1) for k in range(n)]
-        values = np.empty(n + self.times.shape[0])
-        for i, t in enumerate(itertools.chain(grid, map(float, self.times))):
-            try:
-                values[i] = self.compiled(t)
-            except EvalError as exc:
-                raise EvalError(f"evaluation failed at t={t!r}: "
-                                f"{exc}") from exc
-        return values
+    def parse(cls, source: str) -> "FuncSpec":
+        return cls(source=source, ast=parse_expr(source))

@@ -4,6 +4,9 @@ Two constructions share one code path: the finite-measure case (uniform on
 [0,1], weight w == 1) and the sigma-finite case (band measure on R with
 density 1/w), because a measure's sampler returns each point V_i with its
 weight and the series always multiplies each point by w(V_i)^(1/alpha(t)).
+make_process is given the domain and the run's times once, evaluates each
+model function once on the check grid they make, and checks the model
+rules there.
 
 Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
 the localisability probes also vary u.  Kernel.evaluate takes an optional
@@ -35,11 +38,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import FuncSpec
+from .expr import EvalError, FuncSpec
 
 __all__ = [
     "MeasureSpec",
@@ -253,6 +256,9 @@ class ProcessSpec:
     c: float
     d: float
     warnings: tuple[str, ...] = field(default=())
+    # the check grid under "t" and alpha, b and H on it, by name
+    grid_values: dict = field(default_factory=dict, compare=False,
+                              repr=False)
 
     def h(self, t: float) -> float:
         """Localisability exponent: 1/alpha(t) for levy, H(t) otherwise."""
@@ -268,15 +274,16 @@ class ProcessSpec:
 
 def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
                  H: Optional[FuncSpec], domain: tuple[float, float],
-                 c: float, d: float,
-                 b_plus: float = 1.0, b_minus: float = 1.0) -> ProcessSpec:
+                 c: float, d: float, b_plus: float = 1.0,
+                 b_minus: float = 1.0, times: Sequence[float] = ()
+                 ) -> ProcessSpec:
     """ProcessSpec of a model.  It owns the model rules, each a ValueError,
-    and checks alpha and H at every value of their grid_values (the domain
-    grid, then the FuncSpec's times): 0 < c <= d < 2 and alpha in [c, d];
-    H in (0, 1) for lmmm and lfsm-control and no H for levy; a levy
-    domain inside [0, 1]; for lfsm-control a constant alpha and H (linear
-    fractional stable motion) and side weights not both 0; side weights of
-    1 elsewhere.
+    and checks them on one check grid, the domain's 257 points lo + (hi -
+    lo) k/256, then the run's times: alpha, b and H evaluate there; 0 < c
+    <= d < 2 and alpha in [c, d]; H in (0, 1) for lmmm and lfsm-control
+    and no H for levy; a levy domain inside [0, 1]; for lfsm-control a
+    constant alpha and H (linear fractional stable motion) and side
+    weights not both 0; side weights of 1 elsewhere.
     Where H - 1/alpha dips below 0 the spec carries a warning."""
     if not (0.0 < c <= d < 2.0):
         raise ValueError(f"stability bounds must satisfy 0 < c <= d < 2, "
@@ -293,21 +300,36 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
     if tag == "levy" and H is not None:
         raise ValueError("'H' is given, but levy has no H: its indicator "
                          "kernel's exponent is 1/alpha")
-    lo, hi = domain
+    if tag != "levy" and H is None:
+        raise ValueError(f"{tag} requires an H function")
+    lo, hi = domain = (float(domain[0]), float(domain[1]))
+    if not lo < hi:
+        raise ValueError(f"empty domain ({lo!r}, {hi!r})")
     if tag == "levy" and not 0.0 <= lo < hi <= 1.0:
         # the levy measure lives on [0, 1]: beyond it the path is frozen
         raise ValueError(f"domain [{lo!r}, {hi!r}] must lie inside [0, 1] "
                          "for levy")
-    a = alpha.grid_values
+    grid = [lo + (hi - lo) * k / 256 for k in range(257)]
+    grid += map(float, times)
+    values = {"t": np.array(grid)}
+    for name, func in (("alpha", alpha), ("b", b), ("H", H)):
+        if func is not None:
+            values[name] = v = np.empty(len(grid))
+            for i, t in enumerate(grid):
+                try:
+                    v[i] = func.compiled(t)
+                except EvalError as exc:
+                    raise EvalError(f"{name!r} cannot be evaluated at "
+                                    f"t={t!r}: {exc}") from exc
+    a = values["alpha"]
     if not c <= a.min() <= a.max() <= d:
         raise ValueError(f"alpha range [{a.min():.6g}, {a.max():.6g}] "
                          f"leaves [{c:.6g}, {d:.6g}]")
     if tag == "levy":
         kernel, measure = levy_kernel()
-        return ProcessSpec(tag, kernel, measure, alpha, b, None, domain, c, d)
-    if H is None:
-        raise ValueError(f"{tag} requires an H function")
-    h = H.grid_values
+        return ProcessSpec(tag, kernel, measure, alpha, b, None, domain, c, d,
+                           grid_values=values)
+    h = values["H"]
     if not 0.0 < h.min() <= h.max() < 1.0:
         raise ValueError(f"H range [{h.min():.6g}, {h.max():.6g}] leaves "
                          "(0,1)")
@@ -323,7 +345,8 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
         f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound is not "
         "asserted in this regime",)
     return ProcessSpec(tag=tag, kernel=kernel, measure=measure, alpha=alpha,
-                       b=b, H=H, domain=domain, c=c, d=d, warnings=warnings)
+                       b=b, H=H, domain=domain, c=c, d=d, warnings=warnings,
+                       grid_values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ pytestmark = pytest.mark.acceptance
 
 
 def _fs(src):
-    return FuncSpec.parse(src, (0.0, 1.0))
+    return FuncSpec.parse(src)
 
 
 def _report(name, ok, detail):

@@ -23,8 +23,8 @@ import oracles
 from pins import pin
 
 
-def _fs(src, domain=(0.0, 1.0)):
-    return FuncSpec.parse(src, domain)
+def _fs(src):
+    return FuncSpec.parse(src)
 
 
 def _levy_spec(alpha="1.5", b="1"):
@@ -231,9 +231,8 @@ class TestFieldEvaluation:
         env = build_environment(spec, 10, seed=1)
         # alpha is valid on its declared domain but escapes (0,2) beyond it;
         # evaluation off the domain must still be caught
-        wild = make_process("levy", _fs("1.5+10*t", (0.0, 0.04)),
-                            _fs("1", (0.0, 0.04)), None, (0.0, 0.04),
-                            0.5, 1.95)
+        wild = make_process("levy", _fs("1.5+10*t"), _fs("1"), None,
+                            (0.0, 0.04), 0.5, 1.95)
         with pytest.raises(ValueError, match="outside"):
             eval_diagonal_path(env, wild, [0.02, 0.9])
 

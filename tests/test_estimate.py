@@ -23,8 +23,8 @@ import oracles
 from pins import pin
 
 
-def _fs(src, domain=(0.0, 1.0)):
-    return FuncSpec.parse(src, domain)
+def _fs(src):
+    return FuncSpec.parse(src)
 
 
 def _levy_spec(alpha="1.5", b="1", c=0.5, d=1.9):

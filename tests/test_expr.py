@@ -303,33 +303,12 @@ def test_left_operand_raises_first(src, message):
 
 class TestFuncSpec:
     def test_parse_and_call(self):
-        fs = FuncSpec.parse("1.5+0.3*sin(2*pi*t)", (0.0, 1.0))
+        fs = FuncSpec.parse("1.5+0.3*sin(2*pi*t)")
         assert abs(fs(0.25) - 1.8) < 1e-12
 
     def test_source_is_kept(self):
-        fs = FuncSpec.parse("t+1", (0.0, 1.0))
+        fs = FuncSpec.parse("t+1")
         assert fs.source == "t+1"
-
-    def test_bad_domain(self):
-        with pytest.raises(ValueError):
-            FuncSpec.parse("t", (1.0, 0.0))
-
-    def test_grid_values_name_the_failing_point(self):
-        fs = FuncSpec.parse("1/t", (0.0, 1.0))
-        with pytest.raises(EvalError) as exc:
-            fs.grid_values
-        assert "t=" in str(exc.value)
-
-    def test_grid_values_end_with_the_run_times(self):
-        fs = FuncSpec.parse("2*t", (0.0, 1.0), [0.3, 0.7])
-        values = fs.grid_values
-        assert values.shape == (259,)
-        assert values[256] == 2.0 and list(values[257:]) == [0.6, 1.4]
-
-    def test_grid_values_name_the_failing_run_time(self):
-        fs = FuncSpec.parse("1/(t-0.3)", (0.0, 1.0), [0.3])
-        with pytest.raises(EvalError, match=r"at t=0\.3"):
-            fs.grid_values
 
 
 def test_readme_lists_every_function():

@@ -20,13 +20,12 @@ from pins import pin
 _PI2_6 = 6.0 / math.pi ** 2
 
 
-def _fs(src, domain=(0.0, 1.0)):
-    return FuncSpec.parse(src, domain)
+def _fs(src):
+    return FuncSpec.parse(src)
 
 
 def _levy_spec(alpha="1.5", domain=(0.0, 1.0), c=0.5, d=1.9):
-    return make_process("levy", _fs(alpha, domain), _fs("1", domain),
-                        None, domain, c, d)
+    return make_process("levy", _fs(alpha), _fs("1"), None, domain, c, d)
 
 
 def _lfsm_kernel(alpha, H, b_plus, b_minus):
@@ -34,8 +33,7 @@ def _lfsm_kernel(alpha, H, b_plus, b_minus):
 
 
 def _lmmm_spec(alpha="1.7", H="0.75", domain=(0.0, 1.0), c=1.2, d=1.9):
-    return make_process("lmmm", _fs(alpha, domain), _fs("1", domain),
-                        _fs(H, domain), domain, c, d)
+    return make_process("lmmm", _fs(alpha), _fs("1"), _fs(H), domain, c, d)
 
 
 class TestBandSampling:
@@ -502,8 +500,7 @@ class TestPairIntegral:
         # at s_sum = 1 the band weights drop out, and a constant kappa makes
         # R_AB the covariance of a process with stationary increments and
         # int f_t^2 = C t^(1+2 kappa); kinks at or next to a band edge
-        spec = make_process(tag, _fs(repr(alpha), (0.0, hi)),
-                            _fs("1", (0.0, hi)), _fs(repr(H), (0.0, hi)),
+        spec = make_process(tag, _fs(repr(alpha)), _fs("1"), _fs(repr(H)),
                             (0.0, hi), 1.2, 1.9, *weights)
         k = H - 1.0 / alpha
         c = oracles.moving_average_l2(1.0, k, k, *weights)
@@ -559,8 +556,8 @@ class TestPairIntegral:
         # it is within 9.5e-5 of the same code with 2^18 bands, and beyond
         # 256 pair_integral refuses it
         dom = (0.0, 300.0)
-        spec = make_process(tag, _fs(alpha, dom), _fs("1", dom), _fs(H, dom),
-                            dom, 1.15, 1.95, *weights)
+        spec = make_process(tag, _fs(alpha), _fs("1"), _fs(H), dom, 1.15,
+                            1.95, *weights)
         s_sum = 1.0 / spec.alpha(tA) + 1.0 / spec.alpha(256.0)
         got = pair_integral(spec, tA, 256.0, s_sum)
         monkeypatch.setattr(kernels, "_J0", 2 ** 18)
@@ -601,7 +598,7 @@ class TestMakeProcess:
 
     def test_alpha_range_inside_bounds_accepted(self):
         spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)", c=1.1, d=1.9)
-        values = spec.alpha.grid_values
+        values = spec.grid_values["alpha"]
         assert 1.2 <= min(values) <= max(values) <= 1.8 + 1e-12
 
     def test_alpha_range_is_checked_on_the_grid(self):
@@ -697,6 +694,37 @@ class TestMakeProcess:
         assert grid_only.tag == "lmmm"
         at = (0.3,)
         with pytest.raises(ValueError, match=f"{key} range"):
-            make_process("lmmm", FuncSpec.parse(src, (0.0, 1.0), at),
-                         _fs("1"), FuncSpec.parse(H, (0.0, 1.0), at),
-                         (0.0, 1.0), 1.4, 1.6)
+            make_process("lmmm", _fs(src), _fs("1"), _fs(H), (0.0, 1.0),
+                         1.4, 1.6, times=at)
+
+    def test_alpha_is_checked_on_the_whole_process_domain(self):
+        # alpha(1) = 2.7: the check grid spans the domain given here, not
+        # one a model function was parsed with
+        with pytest.raises(ValueError, match=r"alpha range \[1.7, 2.7\]"):
+            _levy_spec(alpha="1.7+t", c=1.5, d=1.95)
+
+    def test_alpha_is_checked_on_the_process_domain_only(self):
+        # 1.9 on [0, 1]; beyond t = 1 it would leave [c, d]
+        spec = _levy_spec(alpha="1.9-0.7*max(t-1,0)", c=1.5, d=1.95)
+        assert set(spec.grid_values["alpha"]) == {1.9}
+
+    def test_bad_domain(self):
+        with pytest.raises(ValueError, match="empty domain"):
+            _levy_spec(domain=(1.0, 0.0))
+
+    def test_grid_values_name_the_failing_point(self):
+        with pytest.raises(ValueError, match=r"'alpha' .* at t=0\.0"):
+            _levy_spec(alpha="1/t")
+
+    def test_grid_values_end_with_the_run_times(self):
+        spec = make_process("levy", _fs("1.5"), _fs("2*t"), None,
+                            (0.0, 1.0), 1.2, 1.9, times=[0.3, 0.7])
+        t, b = spec.grid_values["t"], spec.grid_values["b"]
+        assert t.shape == b.shape == (259,)
+        assert list(t[256:]) == [1.0, 0.3, 0.7]
+        assert b[256] == 2.0 and list(b[257:]) == [0.6, 1.4]
+
+    def test_grid_values_name_the_failing_run_time(self):
+        with pytest.raises(ValueError, match=r"'b' .* at t=0\.3"):
+            make_process("levy", _fs("1.5"), _fs("1/(t-0.3)"), None,
+                         (0.0, 1.0), 1.2, 1.9, times=[0.3])

@@ -138,7 +138,8 @@ def test_benchmark_configs_pass_the_config_check(command, cfg):
     check_config(cfg, command)
 
 
-# sha256 of grid_values (the 257-point domain grid, then the run's times)
+# sha256 of a model function's values on the check grid (the 257-point
+# domain grid, then the run's times)
 GRID_VALUES_SHA256 = {
     ("levy-moments", "alpha"):
         "fb95679868a6cb30299baf35154c5c425ee0e2d92c3c78d2e83bd1acda826ff4",
@@ -168,8 +169,8 @@ GRID_VALUES_SHA256 = {
 @pytest.mark.parametrize("workload,key", sorted(GRID_VALUES_SHA256))
 def test_benchmark_model_values_are_pinned(workload, key):
     w = WORKLOADS[workload]
-    func = getattr(check_config(w.config, w.command)["spec"], key)
-    digest = hashlib.sha256(func.grid_values.tobytes()).hexdigest()
+    values = check_config(w.config, w.command)["spec"].grid_values[key]
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == GRID_VALUES_SHA256[workload, key]
 
 
