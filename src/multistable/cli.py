@@ -316,9 +316,10 @@ def check_config(cfg: dict, command: str) -> dict:
                               "pair integrals lose their far-field accuracy")
     spec = run["spec"] = build_spec(
         cfg, np.unique(np.concatenate(list(times.values()))))
-    a = spec.grid_values["alpha"]
+    g = spec.grid_values
+    a = g["alpha"]
     if run.get("tail") == "gauss" and spec.H is not None:
-        h = spec.grid_values["H"]
+        h = g["H"]
         if np.any((1.0 / a + h >= 1.5) | (h - 1.0 / a <= -0.5)):
             raise ConfigError("config key 'tail' is \"gauss\", but the "
                               "series terms have infinite variance where "
@@ -333,9 +334,17 @@ def check_config(cfg: dict, command: str) -> dict:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")
     for t in map(float, times.get("t", ())):
-        if spec.b(t) == 0.0:
+        i = int(np.argmax(g["t"] == t))  # t is on the check grid
+        if g["b"][i] == 0.0:
             raise ConfigError(f"config key 'b' vanishes at t = {t!r}, whose "
                               "scaling law takes log|b(t)|")
+        # lfsm-control with H = 1/alpha and equal side weights is refused
+        # by make_process; with unequal ones it is Levy motion
+        if (command == "moments" and spec.tag == "lmmm"
+                and g["H"][i] - 1.0 / g["alpha"][i] == 0.0):
+            raise ConfigError(f"config key 't' is {t!r}, where H(t) = "
+                              "1/alpha(t) makes the scale sigma(t) of the "
+                              "moment scaling law 0")
     return run
 
 

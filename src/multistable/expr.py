@@ -3,11 +3,11 @@
 Configuration files define the stability index, the Hurst function and the
 scale function as strings like ``"1.5+0.3*sin(2*pi*t)"``.  This module
 tokenizes and parses those expressions, and compiles each parsed tree
-once into one Python function, which a run then calls: ``+``, ``-``,
-``*`` and unary minus are written inline, and every other node calls its
-guarded table function.  A :class:`FuncSpec` is the source, its tree and
-that function; the domain and the times the model rules are checked at
-are given once, to ``kernels.make_process``.
+once into one Python function, kept on the tree, which a run then calls:
+``+``, ``-``, ``*`` and unary minus are written inline, and every other
+node calls its guarded table function.  A :class:`FuncSpec` is the
+source, its tree and that function; the domain and the times the model
+rules are checked at are given once, to ``kernels.make_process``.
 
 Grammar, in decreasing binding power:
 
@@ -354,9 +354,17 @@ def _compile(ast: ExprAst) -> Callable[[float], float]:
     return scope["evaluate"]
 
 
+def _compiled(ast: ExprAst) -> Callable[[float], float]:
+    """``ast``'s compiled function, made on first use and kept on the tree,
+    which is frozen: a tree compiles once however often it is evaluated."""
+    if "_compiled" not in vars(ast):
+        object.__setattr__(ast, "_compiled", _compile(ast))
+    return ast._compiled
+
+
 def eval_expr(ast: ExprAst, t: float) -> float:
     """Evaluate ``ast`` at ``t``; any non-finite value raises :class:`EvalError`."""
-    return _compile(ast)(t)
+    return _compiled(ast)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +384,7 @@ class FuncSpec:
                                                repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "compiled", _compile(self.ast))
+        object.__setattr__(self, "compiled", _compiled(self.ast))
 
     def __call__(self, t: float) -> float:
         return self.compiled(t)

@@ -283,7 +283,9 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
     <= d < 2 and alpha in [c, d]; H in (0, 1) for lmmm and lfsm-control
     and no H for levy; a levy domain inside [0, 1]; for lfsm-control a
     constant alpha and H (linear fractional stable motion) and side
-    weights not both 0; side weights of 1 elsewhere.
+    weights not both 0; side weights of 1 elsewhere; and not H - 1/alpha
+    = 0 at every time with equal side weights, where the kernel
+    |t-x|^0 - |x|^0 and so the whole process vanish.
     Where H - 1/alpha dips below 0 the spec carries a warning."""
     if not (0.0 < c <= d < 2.0):
         raise ValueError(f"stability bounds must satisfy 0 < c <= d < 2, "
@@ -338,9 +340,13 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
             raise ValueError(f"{name!r} must be constant for lfsm-control, "
                              f"got values in [{float(v.min())!r}, "
                              f"{float(v.max())!r}]")
+    k = h - 1.0 / a
+    if weights[0] == weights[1] and not k.any():
+        raise ValueError("'H' is 1/alpha at every time, so the kernel "
+                         "|t-x|^0 - |x|^0 and every path are 0")
     kernel, measure = lmmm_kernel(
         alpha, H, weights if tag == "lfsm-control" else None)
-    kmin = float(np.min(h - 1.0 / a))
+    kmin = float(k.min())
     warnings = () if kmin >= 0.0 else (
         f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound is not "
         "asserted in this regime",)

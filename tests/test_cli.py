@@ -282,6 +282,24 @@ BAD_CONFIGS = [
     ("holder", _holder_cfg(process="lfsm-control", alpha="1.7", H="0.7",
                            stability_bounds=[1.45, 1.95], domain=[0, 5000],
                            t=255.8, r=[0.25, 0.5]), "'r'"),
+    # H = 1/alpha everywhere with equal side weights: the kernel
+    # |t-x|^0 - |x|^0, and so every path, is 0
+    ("path", _path_cfg(process="lmmm", alpha="1.5", H="2/3",
+                       stability_bounds=[1.45, 1.95]), "'H'"),
+    ("moments", _moments_cfg(process="lmmm", alpha="1.5", H="2/3",
+                             stability_bounds=[1.45, 1.95], tail="none"),
+     "'H'"),
+    ("holder", _holder_cfg(process="lmmm", alpha="1.5", H="2/3",
+                           stability_bounds=[1.45, 1.95], tail="none"),
+     "'H'"),
+    ("path", _path_cfg(process="lfsm-control", alpha="1.5", H="2/3",
+                       b_plus=0.3, b_minus=0.3,
+                       stability_bounds=[1.45, 1.95]), "'H'"),
+    # H(t) = 1/alpha(t) at the moments time alone: sigma(t) = 0 there
+    ("moments", _moments_cfg(process="lmmm", alpha="1.5",
+                             H="2/3+0.1*(t-0.3)",
+                             stability_bounds=[1.45, 1.95], tail="none"),
+     "'t'"),
 ]
 
 
@@ -290,6 +308,19 @@ def test_bad_config_exits_2_naming_key(tmp_path, capsys, command, cfg, key):
     assert _run(tmp_path, cfg, command) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_lfsm_control_at_h_one_over_alpha_is_levy_motion(tmp_path):
+    # with unequal side weights the kernel at kappa = 0 is (b_plus -
+    # b_minus) on (0, t) and 0 elsewhere: Levy motion of scale 0.7
+    cfg = _moments_cfg(process="lfsm-control", alpha="1.5", H="2/3",
+                       b_minus=0.3, stability_bounds=[1.45, 1.95],
+                       tail="none", m_paths=20)
+    assert _run(tmp_path, cfg, "moments") == 0
+    text = (tmp_path / "out" / "moments_fit.csv").read_text()
+    fit = dict(zip(*csv.reader(text.splitlines())))
+    assert math.isfinite(float(fit["slope"]))
+    assert abs(float(fit["theory_slope"]) - 0.5 * 2.0 / 3.0) < 1e-12
 
 
 @pytest.mark.parametrize("process,cap", [("levy", 1024), ("lmmm", 257),

@@ -310,6 +310,16 @@ class TestFuncSpec:
         fs = FuncSpec.parse("t+1")
         assert fs.source == "t+1"
 
+    def test_a_tree_compiles_once(self, monkeypatch):
+        compiles = []
+        compile_ = expr._compile
+        monkeypatch.setattr(expr, "_compile",
+                            lambda ast: compiles.append(ast) or compile_(ast))
+        fs = FuncSpec.parse("1.7+0.2*sin(2*pi*t)")
+        for k in range(1000):
+            assert eval_expr(fs.ast, k / 1000) == fs(k / 1000)
+        assert compiles == [fs.ast]
+
 
 def test_readme_lists_every_function():
     readme = Path(__file__).resolve().parents[1] / "README.md"

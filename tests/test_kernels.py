@@ -708,6 +708,21 @@ class TestMakeProcess:
         spec = _levy_spec(alpha="1.9-0.7*max(t-1,0)", c=1.5, d=1.95)
         assert set(spec.grid_values["alpha"]) == {1.9}
 
+    @pytest.mark.parametrize("tag,weights", [
+        ("lmmm", (1.0, 1.0)), ("lfsm-control", (1.0, 1.0)),
+        ("lfsm-control", (0.3, 0.3))])
+    def test_kernel_that_is_zero_everywhere_rejected(self, tag, weights):
+        # H = 1/alpha with equal side weights: |t-x|^0 - |x|^0 = 0
+        with pytest.raises(ValueError, match="'H' is 1/alpha"):
+            make_process(tag, _fs("1.5"), _fs("1"), _fs("2/3"), (0.0, 1.0),
+                         1.2, 1.9, *weights)
+
+    def test_zero_kappa_at_some_times_or_unequal_weights_builds(self):
+        # H = 1/alpha at t = 0.3 alone; and Levy motion as lfsm-control
+        _lmmm_spec(alpha="1.5", H="2/3+0.1*(t-0.3)")
+        make_process("lfsm-control", _fs("1.5"), _fs("1"), _fs("2/3"),
+                     (0.0, 1.0), 1.2, 1.9, b_minus=0.3)
+
     def test_bad_domain(self):
         with pytest.raises(ValueError, match="empty domain"):
             _levy_spec(domain=(1.0, 0.0))

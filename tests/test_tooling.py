@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from multistable import expr
-from multistable.cli import check_config
+from multistable.cli import build_spec, check_config
 from multistable.kernels import pair_integral
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,6 +172,42 @@ def test_benchmark_model_values_are_pinned(workload, key):
     values = check_config(w.config, w.command)["spec"].grid_values[key]
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == GRID_VALUES_SHA256[workload, key]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_config_check_evaluates_each_model_function_once_per_grid_point(
+        monkeypatch, name):
+    # the tracer counts FuncSpec.__call__ as expr.calls, which must count the
+    # simulation alone: the config check evaluates each model function once
+    # per check-grid point, through its compiled function
+    calls = {}
+    compile_ = expr._compile
+
+    def counted(tree):
+        fn = compile_(tree)
+
+        def evaluate(t):
+            calls[tree] = calls.get(tree, 0) + 1
+            return fn(t)
+        return evaluate
+
+    def never(self, t):
+        pytest.fail("FuncSpec.__call__ in the config check")
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    monkeypatch.setattr(expr.FuncSpec, "__call__", never)
+    def once_per_point(spec):
+        n = len(spec.grid_values["t"])
+        return {f.ast: n for f in (spec.alpha, spec.b, spec.H) if f}
+
+    w = WORKLOADS[name]
+    # the benchmark's setup_s builds the spec without the run's times
+    spec = build_spec(w.config)
+    assert len(spec.grid_values["t"]) == 257
+    assert calls == once_per_point(spec)
+    calls.clear()
+    spec = check_config(w.config, w.command)["spec"]
+    assert calls == once_per_point(spec)
 
 
 # prints the scipy modules loaded after importing the package and running
