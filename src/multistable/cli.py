@@ -172,9 +172,9 @@ _SIM = ("path", "moments", "holder")
 # README.md mirrors this table.  check_config rejects any other key and adds
 # the cross-key rules: the count caps, the Gaussian tail's time cap, every
 # time (grid, t, t + eps, t + r) lies in the domain, and within |t| 256
-# for a pair-integral Gaussian tail, and eta < c;
-# make_process adds the model rules, which see the domain grid and every one
-# of those times.
+# for a pair-integral Gaussian tail, and eta < c; named by key, they run
+# before make_process checks the model rules there (as ProcessSpec.at does
+# at any time a library call evaluates).
 SCHEMA = (
     _Key("process", *_one_of("levy", "lmmm", "lfsm-control"), _REQUIRED, _SIM),
     _Key("alpha", *_EXPR, _REQUIRED, _SIM),
@@ -247,9 +247,8 @@ def _load_config(path: str) -> dict:
 
 
 def build_spec(cfg: dict, times: Sequence[float] = ()) -> ProcessSpec:
-    """ProcessSpec of a config's model keys; other keys are ignored.
-    make_process checks the model rules on the domain grid and at times,
-    the times the run evaluates."""
+    """ProcessSpec of a config's model keys, checked on the domain grid and
+    at times, the times the run evaluates; other keys are ignored."""
     v = _checked(cfg, [k for k in SCHEMA if k.name in _MODEL_KEYS])
     funcs = dict.fromkeys(("alpha", "b", "H"))
     for key in funcs:
@@ -316,16 +315,14 @@ def check_config(cfg: dict, command: str) -> dict:
                               "pair integrals lose their far-field accuracy")
     spec = run["spec"] = build_spec(
         cfg, np.unique(np.concatenate(list(times.values()))))
-    g = spec.grid_values
-    a = g["alpha"]
-    if run.get("tail") == "gauss" and spec.H is not None:
-        h = g["H"]
-        if np.any((1.0 / a + h >= 1.5) | (h - 1.0 / a <= -0.5)):
-            raise ConfigError("config key 'tail' is \"gauss\", but the "
-                              "series terms have infinite variance where "
-                              "1/alpha + H reaches 3/2 or H - 1/alpha falls "
-                              "to -1/2 on the domain")
-    c_max = 2.0 / float(a.min())
+    g = spec.check_grid
+    if (run.get("tail") == "gauss" and spec.H is not None
+            and np.any((g.s + g.H >= 1.5) | (g.kappa <= -0.5))):
+        raise ConfigError("config key 'tail' is \"gauss\", but the series "
+                          "terms have infinite variance where 1/alpha + H "
+                          "reaches 3/2 or H - 1/alpha falls to -1/2 on the "
+                          "domain")
+    c_max = 2.0 / float(g.alpha.min())
     if run.get("tail") == "gauss" and run["n_terms"] + 1 <= c_max:
         raise ConfigError(f"config key 'n_terms' must exceed 2/alpha - 1 = "
                           f"{c_max - 1.0!r} on the domain for the Gaussian "
@@ -333,15 +330,15 @@ def check_config(cfg: dict, command: str) -> dict:
     if command == "moments" and not run["eta"] < spec.c:
         raise ConfigError(f"config key 'eta' must lie in (0, c) = "
                           f"(0, {spec.c!r}), got {run['eta']!r}")
-    for t in map(float, times.get("t", ())):
-        i = int(np.argmax(g["t"] == t))  # t is on the check grid
-        if g["b"][i] == 0.0:
+    at = spec.at(times.get("t", ()))
+    for i, t in enumerate(at.t.tolist()):
+        if at.b[i] == 0.0:
             raise ConfigError(f"config key 'b' vanishes at t = {t!r}, whose "
                               "scaling law takes log|b(t)|")
         # lfsm-control with H = 1/alpha and equal side weights is refused
         # by make_process; with unequal ones it is Levy motion
         if (command == "moments" and spec.tag == "lmmm"
-                and g["H"][i] - 1.0 / g["alpha"][i] == 0.0):
+                and at.kappa[i] == 0.0):
             raise ConfigError(f"config key 't' is {t!r}, where H(t) = "
                               "1/alpha(t) makes the scale sigma(t) of the "
                               "moment scaling law 0")
@@ -371,12 +368,12 @@ def _manifest(out: Path, command: str, cfg: dict, run: dict,
 
 
 def _derived_at(spec: ProcessSpec, t: float) -> dict:
-    a = spec.alpha(t)
+    at = spec.at([t])
+    a = float(at.alpha[0])
     out = {"t": t, "alpha": a, "c_alpha": c_alpha(a),
-           "prefactor": spec.b(t) * c_alpha(a) ** (1.0 / a),
-           "h": spec.h(t)}
+           "prefactor": float(at.pref[0]), "h": float(at.h[0])}
     if spec.tag != "levy":
-        out["sigma"] = sigma_lmmm(a, spec.H(t), spec.kernel.side_weights)
+        out["sigma"] = sigma_lmmm(a, float(at.H[0]), spec.kernel.side_weights)
     return out
 
 

@@ -8,9 +8,10 @@ truncated sums
     Y(t) = b(t) C_alpha(t)^(1/alpha(t))
            * sum_i gamma_i Gamma_i^(-1/alpha(t)) w(V_i)^(1/alpha(t)) f(t,t,V_i)
 
-in ascending index order.  This module is the only code that turns
-(seed, index) into an environment and an environment into path values;
-the estimators build and evaluate one environment at a time through it.
+in ascending index order, the prefactor and 1/alpha(t) read from
+spec.at(grid).  This module is the only code that turns (seed, index) into
+an environment and an environment into path values; the estimators build
+and evaluate one environment at a time through it.
 
 Every random draw comes from a generator substream keyed by
 (seed, index, stream), with the stream word taken from one table.  Each
@@ -42,8 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernels import ProcessSpec, band_sums, pair_integral
-from .stable import c_alpha
+from .kernels import ModelValues, ProcessSpec, band_sums, pair_integral
 
 __all__ = [
     "PoissonEnvironment",
@@ -174,24 +174,9 @@ def build_environment(spec: ProcessSpec, n_terms: int, seed: int,
     return env
 
 
-def _grid_scales(spec: ProcessSpec,
-                 us: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Prefactors b(u) C_alpha(u)^(1/alpha(u)) and exponents 1/alpha(u)."""
-    prefs = np.empty(len(us))
-    ss = np.empty(len(us))
-    for i, u in enumerate(us):
-        a = spec.alpha(float(u))
-        if not 0.0 < a < 2.0:
-            raise ValueError(f"alpha({float(u)!r}) = {a!r} outside (0,2)")
-        ss[i] = 1.0 / a
-        prefs[i] = spec.b(float(u)) * c_alpha(a) ** ss[i]
-    return prefs, ss
-
-
 def _diagonal_values(env: PoissonEnvironment, spec: ProcessSpec,
-                     grid: np.ndarray, prefs: np.ndarray,
-                     ss: np.ndarray) -> np.ndarray:
-    """Y(t) of one environment on the grid, given its _grid_scales."""
+                     at: ModelValues) -> np.ndarray:
+    """Y(t) of one environment at the times of at = spec.at(grid)."""
     # log(w / Gamma); the levy weights are all 1, and 0 - x is exactly -x.
     # The lmmm kernel takes its powers of |x| as exp(kappa log|x|), with
     # log|x| taken here once for the whole grid
@@ -204,23 +189,22 @@ def _diagonal_values(env: PoissonEnvironment, spec: ProcessSpec,
         with np.errstate(divide="ignore"):  # log 0 = -inf at the kink x = 0
             log_ax = np.log(np.abs(env.points))
     term = np.empty_like(log_ratio)
-    values = np.empty(grid.shape[0])
-    for g, t in enumerate(grid):
-        f = spec.kernel.evaluate(float(t), float(t), env.points, log_ax)
+    values = np.empty(at.t.shape[0])
+    for g, (t, s, pref) in enumerate(zip(at.t.tolist(), at.s, at.pref)):
+        f = spec.kernel.evaluate(t, t, env.points, log_ax)
         # the products of signs * exp(s log_ratio) * f, in that order
-        np.multiply(log_ratio, ss[g], out=term)
+        np.multiply(log_ratio, s, out=term)
         np.exp(term, out=term)
         term *= env.signs
         term *= f
-        values[g] = prefs[g] * np.sum(term)
+        values[g] = pref * np.sum(term)
     return values
 
 
 def eval_diagonal_path(env: PoissonEnvironment, spec: ProcessSpec,
                        grid: Sequence[float]) -> np.ndarray:
     """Y(t) on an arbitrary grid, one shared environment."""
-    grid = np.asarray(grid, dtype=float)
-    return _diagonal_values(env, spec, grid, *_grid_scales(spec, grid))
+    return _diagonal_values(env, spec, spec.at(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +248,17 @@ def tail_covariance(spec: ProcessSpec, grid: Sequence[float],
     written into row and column i; a non-finite entry raises, naming its
     times.
     """
-    ts = [float(t) for t in grid]
+    at = spec.at(grid)
+    ts, prefs, ss = at.t.tolist(), at.pref, at.s
     G = len(ts)
-    prefs, ss = _grid_scales(spec, ts)
     if spec.tag != "levy":
         pairs = [(i, j, ss[i] + ss[j]) for i in range(G) for j in range(i, G)]
         gl8 = iter(band_sums(spec, ts, pairs))
-    t = np.asarray(ts)
     cov = np.empty((G, G))
     for i in range(G):
         tail = arrival_tail_sum(ss[i] + ss[i:], n_terms)
         if spec.tag == "levy":
-            r = np.minimum(t[i], t[i:])
+            r = np.minimum(at.t[i], at.t[i:])
         else:
             r = np.array([pair_integral(spec, ts[i], ts[j], ss[i] + ss[j],
                                         gl8=next(gl8)) for j in range(i, G)])
@@ -329,17 +312,14 @@ def truncation_diagnostic(spec: ProcessSpec, grid: Sequence[float],
     terms carry independent signs, so E[(Y_2N - Y_N)^2] =
     pref^2 [S(N, 2s) - S(2N, 2s)] R(t, t), with S the arrival_tail_sum and
     R the pair integral at exponent 2s."""
-    grid = np.asarray(grid, dtype=float)
-    prefs, ss = _grid_scales(spec, grid)
-    diffs = np.empty((pilot, grid.shape[0]))
+    at = spec.at(grid)
+    diffs = np.empty((pilot, at.t.shape[0]))
     for p in range(pilot):
         env = build_environment(spec, 2 * n_terms, seed, p)
-        added = PoissonEnvironment(
-            arrivals=env.arrivals[n_terms:], points=env.points[n_terms:],
-            signs=env.signs[n_terms:], weights=env.weights[n_terms:])
-        diffs[p] = _diagonal_values(added, spec, grid, prefs, ss)
+        added = PoissonEnvironment(*(x[n_terms:] for x in vars(env).values()))
+        diffs[p] = _diagonal_values(added, spec, at)
     var = [pref ** 2 * (arrival_tail_sum(2.0 * s, n_terms)
                         - arrival_tail_sum(2.0 * s, 2 * n_terms))
-           * pair_integral(spec, float(t), float(t), 2.0 * s)
-           for t, pref, s in zip(grid, prefs, ss)]
+           * pair_integral(spec, t, t, 2.0 * s)
+           for t, pref, s in zip(at.t.tolist(), at.pref, at.s)]
     return TruncationReport(differences=diffs, rms=np.sqrt(var))

@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import (_check_key_words, _diagonal_values, _environments,
-                     _grid_scales, _substream, tail_covariance, tail_draw,
-                     tail_sqrt)
-from .kernels import (ProcessSpec, kappa_difference_integral,
+                     _substream, tail_covariance, tail_draw, tail_sqrt)
+from .kernels import (ModelValues, ProcessSpec, kappa_difference_integral,
                       kink_power_integral, sigma_lmmm)
 from .stable import (HALF_PERIODS, c_alpha, sas_abs_moment,
                      sin2_phase_integral)
@@ -56,14 +55,14 @@ _CHUNK = 128
 _BOOT_RESAMPLES = 2000
 
 
-def _chunk_values(spec: ProcessSpec, grid: np.ndarray, prefs: np.ndarray,
-                  ss: np.ndarray, chol: Optional[np.ndarray], n_terms: int,
-                  seed: int, lo: int, hi: int) -> np.ndarray:
-    """Y(t) for environments lo..hi-1 on the grid, shape (hi-lo, G)."""
-    out = np.empty((hi - lo, grid.shape[0]))
+def _chunk_values(spec: ProcessSpec, at: ModelValues,
+                  chol: Optional[np.ndarray], n_terms: int, seed: int,
+                  lo: int, hi: int) -> np.ndarray:
+    """Y(t) for environments lo..hi-1 at the times of at, shape (hi-lo, G)."""
+    out = np.empty((hi - lo, at.t.shape[0]))
     envs = _environments(spec, n_terms, seed, lo, hi)
     for k, (env, tail_rng) in enumerate(envs):
-        out[k] = _diagonal_values(env, spec, grid, prefs, ss)
+        out[k] = _diagonal_values(env, spec, at)
         if chol is not None:
             out[k] += tail_draw(chol, tail_rng)
     return out
@@ -77,19 +76,18 @@ def diagonal_samples(spec: ProcessSpec, grid: Sequence[float], m_paths: int,
     if tail not in ("gauss", "none"):
         raise ValueError(f"unknown tail mode {tail!r}")
     _check_key_words(seed, index_offset, index_offset + m_paths)
-    grid = np.asarray(grid, dtype=float)
-    prefs, ss = _grid_scales(spec, grid)
-    chol = None
-    if tail == "gauss":
-        chol = tail_sqrt(tail_covariance(spec, grid, n_terms))
-    out = np.empty((m_paths, grid.shape[0]))
+    at = spec.at(grid)
+    at.pref  # made here, not on the worker threads
+    chol = (tail_sqrt(tail_covariance(spec, grid, n_terms))
+            if tail == "gauss" else None)
+    out = np.empty((m_paths, at.t.shape[0]))
     bounds = [(lo, min(lo + _CHUNK, index_offset + m_paths))
               for lo in range(index_offset, index_offset + m_paths, _CHUNK)]
 
     def run(b):
         lo, hi = b
         out[lo - index_offset:hi - index_offset] = _chunk_values(
-            spec, grid, prefs, ss, chol, n_terms, seed, lo, hi)
+            spec, at, chol, n_terms, seed, lo, hi)
 
     if workers <= 1:
         for b in bounds:
@@ -148,13 +146,12 @@ def theoretical_scaling(spec: ProcessSpec, t: float,
     with slope = eta*h(t) and intercept the log eta-moment of the tangent
     stable law (scale 1 for the indicator kernel, the kink integral root for
     the moving-average family), shifted by the local field scale b(t)."""
-    a = spec.alpha(t)
+    at = spec.at([t])
+    a, b, h = float(at.alpha[0]), float(at.b[0]), float(at.h[0])
     sigma = (1.0 if spec.tag == "levy"
-             else sigma_lmmm(a, spec.H(t), spec.kernel.side_weights))
-    slope = eta * spec.h(t)
-    intercept = (math.log(sas_abs_moment(a, sigma, eta))
-                 + eta * math.log(abs(spec.b(t))))
-    return slope, intercept
+             else sigma_lmmm(a, float(at.H[0]), spec.kernel.side_weights))
+    return eta * h, (math.log(sas_abs_moment(a, sigma, eta))
+                     + eta * math.log(abs(b)))
 
 
 @dataclass(frozen=True)
@@ -274,12 +271,13 @@ def holder_pathwise(spec: ProcessSpec, t: float, r_levels: Sequence[float],
 
 def _holder_theory(spec: ProcessSpec, t: float,
                    alpha_regularity: Optional[float]):
+    at = spec.at([t])
+    a = float(at.alpha[0])
     if spec.tag != "levy":
-        h = spec.H(t)
-        if h - 1.0 / spec.alpha(t) < 0.0:
+        kappa = float(at.kappa[0])
+        if kappa < 0.0:
             return None, "H(t) - 1/alpha(t) < 0: no Holder bound is asserted"
-        return h, "upper bound H(t)"
-    a = spec.alpha(t)
+        return float(at.H[0]), "upper bound H(t)"
     if a < 1.0:
         if alpha_regularity is None:
             return None, "alpha(t) < 1: declare alpha_regularity for a target"
@@ -304,11 +302,11 @@ def levy_increment_cf(spec: ProcessSpec, t: float, r: float, v: float,
                          f"got {spec.tag!r}")
     if v == 0.0:
         return 1.0
-    a1, a2 = spec.alpha(t), spec.alpha(t + r)
-    s1, s2 = 1.0 / a1, 1.0 / a2
+    at = spec.at([t, t + r])
+    (a1, a2), (s1, s2) = at.alpha.tolist(), at.s.tolist()
     scale = 2.0 * r ** s1
-    q1 = abs(v) * abs(spec.b(t)) * c_alpha(a1) ** s1 / scale
-    q2 = abs(v) * abs(spec.b(t + r)) * c_alpha(a2) ** s2 / scale
+    q1, q2 = (abs(v) * abs(b) * c_alpha(a) ** s / scale for a, b, s
+              in zip((a1, a2), at.b.tolist(), (s1, s2)))
     i_both = sin2_phase_integral(q1, s1, q2, s2, half_periods)
     # a2 q2^a2 int u^(-a2-1) sin^2 u du, in closed form
     i_single = q2 ** a2 * 2.0 ** (a2 - 1.0) / c_alpha(a2)
@@ -334,7 +332,7 @@ def ecf_compare(spec: ProcessSpec, t: float, r: float,
     characteristic function on a v grid."""
     vals = diagonal_samples(spec, [t, t + r], m_paths, n_terms, seed,
                             tail=tail, workers=workers)
-    d = (vals[:, 1] - vals[:, 0]) / r ** spec.h(t)
+    d = (vals[:, 1] - vals[:, 0]) / r ** float(spec.at([t]).h[0])
     emp, num, sd = [], [], []
     for v in v_grid:
         cos_vd = np.cos(v * d)
@@ -381,14 +379,17 @@ def condition_probe(spec: ProcessSpec, condition: str, t: float,
     if cond not in _CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; "
                          f"expected one of {_CONDITIONS}")
-    vals = [_one_condition(spec, cond, t, float(r)) for r in r_list]
-    return ConditionReport(condition=cond, t=t,
-                           r_list=tuple(float(r) for r in r_list),
+    rs = [float(r) for r in r_list]
+    at = spec.at([t] + [t + r for r in rs])
+    vals = [_one_condition(spec, cond, t, r, at, j)
+            for j, r in enumerate(rs, 1)]
+    return ConditionReport(condition=cond, t=t, r_list=tuple(rs),
                            values=tuple(vals))
 
 
-def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
-    a = spec.alpha(t)
+def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float,
+                   at: ModelValues, j: int) -> float:
+    """One probe value; at holds t, then t + r at index j."""
     if spec.tag == "levy":
         # f(.,u,x) = 1_[0,.](x) does not depend on u; differences in t
         # integrate to the interval length r, and with h = 1/alpha both
@@ -401,7 +402,7 @@ def _one_condition(spec: ProcessSpec, cond: str, t: float, r: float) -> float:
         if cond == "C13":
             return t
         return 0.0  # Cu15: integrand identically zero
-    k_t, k_tr = spec.kappa(t), spec.kappa(t + r)
+    a, k_t, k_tr = float(at.alpha[0]), float(at.kappa[0]), float(at.kappa[j])
     if cond == "Cu15":  # f(v,u,x) depends on u only through kappa(u)
         return kappa_difference_integral(
             t + r, k_tr, k_t, spec.kernel.side_weights) / (r * r)

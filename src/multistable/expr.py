@@ -6,8 +6,8 @@ tokenizes and parses those expressions, and compiles each parsed tree
 once into one Python function, kept on the tree, which a run then calls:
 ``+``, ``-``, ``*`` and unary minus are written inline, and every other
 node calls its guarded table function.  A :class:`FuncSpec` is the
-source, its tree and that function; the domain and the times the model
-rules are checked at are given once, to ``kernels.make_process``.
+source, its tree and that function; ``ProcessSpec.at`` reads its values,
+with the model rules checked, at the times a run evaluates.
 
 Grammar, in decreasing binding power:
 
@@ -373,9 +373,9 @@ def eval_expr(ast: ExprAst, t: float) -> float:
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A parsed model function and its compiled form.  Where it may be
-    evaluated, and whether it obeys the model rules there, is make_process's
-    to check, on one grid for all the model functions of a process."""
+    """A parsed model function and its compiled form.  ProcessSpec.at reads
+    it through the compiled form, with the model rules checked; only the
+    lmmm kernel's exponent kappa(u) calls it."""
 
     source: str
     ast: ExprAst

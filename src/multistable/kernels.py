@@ -4,9 +4,10 @@ Two constructions share one code path: the finite-measure case (uniform on
 [0,1], weight w == 1) and the sigma-finite case (band measure on R with
 density 1/w), because a measure's sampler returns each point V_i with its
 weight and the series always multiplies each point by w(V_i)^(1/alpha(t)).
-make_process is given the domain and the run's times once, evaluates each
-model function once on the check grid they make, and checks the model
-rules there.
+
+ProcessSpec.at(times) reads the model functions into one record,
+ModelValues, with the model rules checked; only the lmmm kernel's kappa(u)
+calls them otherwise.  Times of make_process's check grid are looked up.
 
 Path values and the pair integrals use only the diagonal u = t of f(t,u,x);
 the localisability probes also vary u.  Kernel.evaluate takes an optional
@@ -14,29 +15,20 @@ fourth argument, log|x| of the points: the series passes it once per
 environment, and the lmmm kernel then takes each power as exp(kappa log)
 rather than by ** (_power_diff).
 
-Also houses the kernel-specific integrals: the lmmm scale integral
-sigma_lmmm, its generalization kink_power_integral, the Cu15 distance
-kappa_difference_integral, and the measure-weighted pair integrals at two
-path times that drive truncation-tail covariances.  All run on one graded
-Gauss-Legendre rule but band 1 of the pair integral where both exponents
-are >= 0, the last adaptive quad, which waits for a benchmark not chosen
-for its cost.  Its integrand calls Kernel.evaluate at both times for each
-node, as the benchmark's traced ranking expects, and passes quad's Python
-float straight through, which _power_diff evaluates on floats, not as a
-one-element array, and returns as a float.  A tail covariance evaluates
-each time's kernel rows on the GL-8 nodes of bands 2..4096 once
-(band_sums), not once per pair that holds the time, and each pair integral
-takes its sums of those bands from them.
-
-SciPy is imported inside the two functions that call it, quad in
-pair_integral and zeta in _far_bands, so only a run that reaches an lmmm
-pair integral loads it.
+The kernel integrals (sigma_lmmm, kink_power_integral,
+kappa_difference_integral and the pair integrals of the tail covariance)
+run on one graded Gauss-Legendre rule, but band 1 of pair_integral.  SciPy
+is imported inside the two functions that call it, quad in pair_integral
+and zeta in _far_bands, so only a run that reaches an lmmm pair integral
+loads it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +40,7 @@ __all__ = [
     "MeasureSpec",
     "Kernel",
     "ProcessSpec",
+    "ModelValues",
     "levy_kernel",
     "lmmm_kernel",
     "sigma_lmmm",
@@ -179,9 +172,8 @@ def _power_diff(t: float, k: float, x: np.ndarray,
     far-field edge (band 1's quad nodes) takes a float branch and returns a
     Python float, with the bytes of the array form; a 0-d array takes the
     array form."""
-    # the same operations as the array form; the powers stay numpy's, whose
-    # last bit can differ from Python's.  Goes when ROADMAP 7a retires band
-    # 1's quad
+    # the array form's operations and numpy's powers, until band 1's quad
+    # goes (ROADMAP 7a)
     if type(x) is float and abs(x) <= 8.0 * (1.0 + abs(t)):
         tx = t - x
         pa, pb = (np.array((abs(tx), abs(x))) ** k).tolist()
@@ -242,6 +234,20 @@ def lmmm_kernel(alpha: FuncSpec, H: FuncSpec,
             MeasureSpec(sample=_lmmm_sample))
 
 
+class ModelValues(namedtuple("ModelValues", "t alpha b H kappa s h")):
+    """The model functions at the times t, an entry per time, and what the
+    series takes from them: s = 1/alpha, kappa = H - 1/alpha (None for levy,
+    as H is), the localisability exponent h (s for levy, else H) and pref."""
+
+    @functools.cached_property
+    def pref(self) -> np.ndarray:
+        """b C_alpha^s, made on first use (a check grid needs none), a time
+        at a time: NumPy's array ** can differ in the last bit."""
+        from .stable import c_alpha  # stable imports this module
+        return np.array([b * c_alpha(a) ** s for a, b, s
+                         in zip(self.alpha.tolist(), self.b.tolist(), self.s)])
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Process definition: kernel + measure + model functions + domain."""
@@ -256,15 +262,52 @@ class ProcessSpec:
     c: float
     d: float
     warnings: tuple[str, ...] = field(default=())
-    # the check grid under "t" and alpha, b and H on it, by name
-    grid_values: dict = field(default_factory=dict, compare=False,
-                              repr=False)
+    # the values on make_process's check grid
+    check_grid: Optional[ModelValues] = field(default=None, compare=False,
+                                              repr=False)
 
-    def h(self, t: float) -> float:
-        """Localisability exponent: 1/alpha(t) for levy, H(t) otherwise."""
-        if self.tag == "levy":
-            return 1.0 / self.alpha(t)
-        return self.H(t)
+    def at(self, times) -> ModelValues:
+        """ModelValues at times, checking there the model rules of each time,
+        each a ValueError naming the time: t in the domain, the compiled
+        functions evaluate, alpha in [c, d], H in (0, 1).  It looks up, not
+        evaluates, a time of the check grid."""
+        t = np.array(times, dtype=float).reshape(-1)
+        lo, hi = self.domain
+        outside = ~((lo <= t) & (t <= hi))
+        if outside.any():
+            raise ValueError(f"time {float(t[outside][0])!r} lies outside "
+                             f"the domain [{lo!r}, {hi!r}]")
+        grid, new = self.check_grid, np.ones(t.size, dtype=bool)
+        if grid is not None:
+            order = np.argsort(grid.t)
+            i = order[np.searchsorted(grid.t, t, sorter=order) % order.size]
+            # bit for bit: a model function may tell -0.0 from 0.0
+            new = grid.t[i].view(np.int64) != t.view(np.int64)
+        js, values = np.flatnonzero(new), {}
+        for name in ("alpha", "b", "H"):
+            func = getattr(self, name)
+            if func is not None:
+                values[name] = v = (np.empty(t.size) if grid is None
+                                    else getattr(grid, name)[i])
+                for j, x in zip(js.tolist(), t[js].tolist()):
+                    try:
+                        v[j] = func.compiled(x)
+                    except EvalError as exc:
+                        raise EvalError(f"{name!r} cannot be evaluated at "
+                                        f"t={x!r}: {exc}") from exc
+        a, h = values["alpha"], values.get("H")
+        for name, v, ok, bounds in (
+                ("alpha", a, (self.c <= a) & (a <= self.d),
+                 f"[{self.c:.6g}, {self.d:.6g}]"),
+                ("H", h, h is None or (0.0 < h) & (h < 1.0), "(0,1)")):
+            if not np.all(ok):
+                j = int(np.argmin(ok))
+                raise ValueError(f"{name} range [{v.min():.6g}, "
+                                 f"{v.max():.6g}] leaves {bounds}: {name!r} "
+                                 f"is {float(v[j])!r} at t={float(t[j])!r}")
+        s = 1.0 / a
+        return ModelValues(t, a, values["b"], h, None if h is None else h - s,
+                           s, s if h is None else h)
 
     def kappa(self, u: float) -> float:
         if self.kernel.kappa is None:
@@ -277,16 +320,14 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
                  c: float, d: float, b_plus: float = 1.0,
                  b_minus: float = 1.0, times: Sequence[float] = ()
                  ) -> ProcessSpec:
-    """ProcessSpec of a model.  It owns the model rules, each a ValueError,
-    and checks them on one check grid, the domain's 257 points lo + (hi -
-    lo) k/256, then the run's times: alpha, b and H evaluate there; 0 < c
-    <= d < 2 and alpha in [c, d]; H in (0, 1) for lmmm and lfsm-control
-    and no H for levy; a levy domain inside [0, 1]; for lfsm-control a
-    constant alpha and H (linear fractional stable motion) and side
-    weights not both 0; side weights of 1 elsewhere; and not H - 1/alpha
-    = 0 at every time with equal side weights, where the kernel
-    |t-x|^0 - |x|^0 and so the whole process vanish.
-    Where H - 1/alpha dips below 0 the spec carries a warning."""
+    """ProcessSpec of a model, checked on one check grid: the domain's 257
+    points lo + (hi - lo) k/256 (at most hi), then the run's times.  The
+    model rules, each a ValueError, are ProcessSpec.at's; 0 < c <= d < 2;
+    an H but for levy; a levy domain inside [0, 1]; for lfsm-control (linear
+    fractional stable motion) a constant alpha and H and side weights not
+    both 0, and side weights of 1 elsewhere; and not H - 1/alpha = 0
+    everywhere with equal side weights, where the process vanishes.  Where
+    H - 1/alpha dips below 0 the spec carries a warning."""
     if not (0.0 < c <= d < 2.0):
         raise ValueError(f"stability bounds must satisfy 0 < c <= d < 2, "
                          f"got c={c!r} d={d!r}")
@@ -311,48 +352,26 @@ def make_process(tag: str, alpha: FuncSpec, b: FuncSpec,
         # the levy measure lives on [0, 1]: beyond it the path is frozen
         raise ValueError(f"domain [{lo!r}, {hi!r}] must lie inside [0, 1] "
                          "for levy")
-    grid = [lo + (hi - lo) * k / 256 for k in range(257)]
-    grid += map(float, times)
-    values = {"t": np.array(grid)}
-    for name, func in (("alpha", alpha), ("b", b), ("H", H)):
-        if func is not None:
-            values[name] = v = np.empty(len(grid))
-            for i, t in enumerate(grid):
-                try:
-                    v[i] = func.compiled(t)
-                except EvalError as exc:
-                    raise EvalError(f"{name!r} cannot be evaluated at "
-                                    f"t={t!r}: {exc}") from exc
-    a = values["alpha"]
-    if not c <= a.min() <= a.max() <= d:
-        raise ValueError(f"alpha range [{a.min():.6g}, {a.max():.6g}] "
-                         f"leaves [{c:.6g}, {d:.6g}]")
-    if tag == "levy":
-        kernel, measure = levy_kernel()
-        return ProcessSpec(tag, kernel, measure, alpha, b, None, domain, c, d,
-                           grid_values=values)
-    h = values["H"]
-    if not 0.0 < h.min() <= h.max() < 1.0:
-        raise ValueError(f"H range [{h.min():.6g}, {h.max():.6g}] leaves "
-                         "(0,1)")
-    for name, v in (("alpha", a), ("H", h)) if tag == "lfsm-control" else ():
+    kernel, measure = levy_kernel() if tag == "levy" else lmmm_kernel(
+        alpha, H, weights if tag == "lfsm-control" else None)
+    spec = ProcessSpec(tag, kernel, measure, alpha, b, H, domain, c, d)
+    # lo + (hi - lo) can round above hi
+    grid = spec.at(np.append(
+        np.minimum(lo + (hi - lo) * np.arange(257.0) / 256, hi), times))
+    for name in ("alpha", "H") if tag == "lfsm-control" else ():
+        v = getattr(grid, name)
         if v.min() != v.max():
             raise ValueError(f"{name!r} must be constant for lfsm-control, "
                              f"got values in [{float(v.min())!r}, "
                              f"{float(v.max())!r}]")
-    k = h - 1.0 / a
-    if weights[0] == weights[1] and not k.any():
+    if tag != "levy" and weights[0] == weights[1] and not grid.kappa.any():
         raise ValueError("'H' is 1/alpha at every time, so the kernel "
                          "|t-x|^0 - |x|^0 and every path are 0")
-    kernel, measure = lmmm_kernel(
-        alpha, H, weights if tag == "lfsm-control" else None)
-    kmin = float(k.min())
+    kmin = 0.0 if grid.kappa is None else float(grid.kappa.min())
     warnings = () if kmin >= 0.0 else (
         f"H - 1/alpha dips to {kmin:.4g} < 0: the Holder upper bound is not "
         "asserted in this regime",)
-    return ProcessSpec(tag=tag, kernel=kernel, measure=measure, alpha=alpha,
-                       b=b, H=H, domain=domain, c=c, d=d, warnings=warnings,
-                       grid_values=values)
+    return dataclasses.replace(spec, warnings=warnings, check_grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +544,17 @@ def pair_integral(spec: ProcessSpec, tA: float, tB: float, s_sum: float,
     s_sum = 1/alpha(tA) + 1/alpha(tB), as each series term carries its own
     w^(1/alpha): the Lebesgue integral of w^(s_sum-1) fA fB, band by band.
 
-    Band 1 is an adaptive quad with the kinks as break points, the last in
-    the package: the lmmm-holder benchmark is chosen for its cost, so it
-    waits for a re-targeted benchmark.  Where an exponent is negative, the
-    kinks are singular and quad does not converge, so band 1 takes the
-    graded rule, which is to take every pair when quad goes.  Bands 2.._J0
-    are GL-8, or the graded rule where a kink lies in a band or within
-    _NEAR of it; then the far field, which holds to about 1e-4 up to
-    |t| = _MAX_PAIR_T (256), and a time beyond raises ValueError.  gl8
-    holds the GL-8 sums of each side (band_sums), which tail_covariance
-    computes for all its pairs at once; by default the pair computes its
-    own.
+    Band 1 is an adaptive quad with the kinks as break points, the last in the
+    package: the lmmm-holder benchmark is chosen for its cost, so it waits for
+    a re-targeted benchmark.  Its integrand calls Kernel.evaluate at both times
+    per node, as the traced ranking expects.  Where an exponent is negative,
+    the kinks are singular and quad does not converge, so band 1 takes the
+    graded rule, which is to take every pair when quad goes.  Bands 2.._J0 are
+    GL-8, or the graded rule where a kink lies in a band or within _NEAR of it;
+    then the far field, which holds to about 1e-4 up to |t| = _MAX_PAIR_T
+    (256), and a time beyond raises ValueError.  gl8 holds the GL-8 sums of
+    each side (band_sums), which tail_covariance computes for all its pairs at
+    once; by default the pair computes its own.
     """
     if spec.tag == "levy":
         return min(tA, tB)

@@ -517,10 +517,9 @@ def test_model_rules_hold_at_every_evaluation_time(case):
     except cli.ConfigError as exc:
         assert "alpha" in str(exc) or "H" in str(exc)
         return
-    for x in times:
-        assert spec.c <= spec.alpha(x) <= spec.d
-        assert 0.0 < spec.H(x) < 1.0
-    engine._grid_scales(spec, times)
+    at = spec.at(times)
+    assert np.all((spec.c <= at.alpha) & (at.alpha <= spec.d))
+    assert np.all((0.0 < at.H) & (at.H < 1.0))
     theoretical_scaling(spec, times[0], 0.5)
 
 

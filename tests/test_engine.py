@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from multistable import cli, engine
 from multistable.engine import (_STREAMS, PoissonEnvironment,
-                                _diagonal_values, _grid_scales, _substream,
+                                _diagonal_values, _substream,
                                 arrival_tail_sum, build_environment,
                                 eval_diagonal_path, tail_covariance,
                                 tail_draw, tail_sqrt, truncation_diagnostic)
@@ -169,14 +169,12 @@ def test_shared_log_agrees_with_power_form(model):
     evaluate = spec.kernel.evaluate
     power = dataclasses.replace(spec, kernel=dataclasses.replace(
         spec.kernel, evaluate=lambda t, u, x, log_ax: evaluate(t, u, x)))
-    grid = np.linspace(0.0, 1.0, 9)
-    prefs, ss = _grid_scales(spec, grid)
+    at = spec.at(np.linspace(0.0, 1.0, 9))
     envs = [build_environment(spec, 4000, seed=3, index=i) for i in range(16)]
     # the far points, |x| > 8 (1 + t), take the expm1 form
     assert sum(np.count_nonzero(np.abs(e.points) > 16.0) for e in envs) > 2000
-    got = np.array([_diagonal_values(e, spec, grid, prefs, ss) for e in envs])
-    want = np.array([_diagonal_values(e, power, grid, prefs, ss)
-                     for e in envs])
+    got = np.array([_diagonal_values(e, spec, at) for e in envs])
+    want = np.array([_diagonal_values(e, power, at) for e in envs])
     assert got.tobytes() != want.tobytes()
     # measured: 9.8e-15 of each time's largest value, at kappa -1/3
     assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=0))
@@ -372,9 +370,10 @@ class TestTailCovariance:
 
         spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)")
         grid = np.linspace(0.0, 1.0, 65)
-        prefs, ss = engine._grid_scales(spec, grid)
+        at = spec.at(grid)
         want = oracles.tail_covariance_loop(
-            [float(t) for t in grid], prefs, ss, lambda tA, tB, s: min(tA, tB),
+            [float(t) for t in grid], at.pref, at.s,
+            lambda tA, tB, s: min(tA, tB),
             lambda c: float(poch(2000, 1.0 - c)) / (c - 1.0))
         assert np.array_equal(tail_covariance(spec, grid, 2000), want)
 
@@ -394,9 +393,10 @@ class TestTailCovariance:
         # the 8 MiB matrix, one row at a time of temporaries and the final
         # finiteness mask; whole-matrix temporaries took three times that
         assert peak <= G * G * 8 + 4 * 2 ** 20
-        prefs, ss = engine._grid_scales(spec, grid)
+        at = spec.at(grid)
         want = oracles.tail_covariance_loop(
-            [float(t) for t in grid], prefs, ss, lambda tA, tB, s: min(tA, tB),
+            [float(t) for t in grid], at.pref, at.s,
+            lambda tA, tB, s: min(tA, tB),
             lambda c: float(poch(2000, 1.0 - c)) / (c - 1.0))
         assert np.array_equal(cov, want)
 
@@ -413,9 +413,10 @@ class TestTailCovariance:
         # shared kernel rows give each entry the bits of a pair alone
         spec = make_process(tag, _fs(alpha), _fs("1"), _fs(H), (0.0, 1.0),
                             1.2, 1.95, *weights)
-        prefs, ss = engine._grid_scales(spec, grid)
+        at = spec.at(grid)
         want = oracles.tail_covariance_loop(
-            grid, prefs, ss, lambda tA, tB, s: pair_integral(spec, tA, tB, s),
+            grid, at.pref, at.s,
+            lambda tA, tB, s: pair_integral(spec, tA, tB, s),
             lambda c: arrival_tail_sum(c, 4000))
         assert np.array_equal(tail_covariance(spec, grid, 4000), want)
 

@@ -598,7 +598,7 @@ class TestMakeProcess:
 
     def test_alpha_range_inside_bounds_accepted(self):
         spec = _levy_spec(alpha="1.5+0.3*sin(2*pi*t)", c=1.1, d=1.9)
-        values = spec.grid_values["alpha"]
+        values = spec.check_grid.alpha
         assert 1.2 <= min(values) <= max(values) <= 1.8 + 1e-12
 
     def test_alpha_range_is_checked_on_the_grid(self):
@@ -656,9 +656,9 @@ class TestMakeProcess:
 
     def test_h_exponent_dispatch(self):
         levy = _levy_spec(alpha="1.6")
-        assert abs(levy.h(0.3) - 1.0 / 1.6) < 1e-15
+        assert abs(levy.at([0.3]).h[0] - 1.0 / 1.6) < 1e-15
         lmmm = _lmmm_spec(H="0.75")
-        assert lmmm.h(0.3) == 0.75
+        assert lmmm.at([0.3]).h[0] == 0.75
 
     def test_kappa_requires_kernel_exponent(self):
         levy = _levy_spec()
@@ -706,7 +706,7 @@ class TestMakeProcess:
     def test_alpha_is_checked_on_the_process_domain_only(self):
         # 1.9 on [0, 1]; beyond t = 1 it would leave [c, d]
         spec = _levy_spec(alpha="1.9-0.7*max(t-1,0)", c=1.5, d=1.95)
-        assert set(spec.grid_values["alpha"]) == {1.9}
+        assert set(spec.check_grid.alpha) == {1.9}
 
     @pytest.mark.parametrize("tag,weights", [
         ("lmmm", (1.0, 1.0)), ("lfsm-control", (1.0, 1.0)),
@@ -734,7 +734,7 @@ class TestMakeProcess:
     def test_grid_values_end_with_the_run_times(self):
         spec = make_process("levy", _fs("1.5"), _fs("2*t"), None,
                             (0.0, 1.0), 1.2, 1.9, times=[0.3, 0.7])
-        t, b = spec.grid_values["t"], spec.grid_values["b"]
+        t, b = spec.check_grid.t, spec.check_grid.b
         assert t.shape == b.shape == (259,)
         assert list(t[256:]) == [1.0, 0.3, 0.7]
         assert b[256] == 2.0 and list(b[257:]) == [0.6, 1.4]

@@ -92,9 +92,10 @@ def test_traced_lmmm_path_evaluates_once_per_time_and_path(tmp_path):
     assert layers["kernels.evaluate.points"] == calls * cfg["n_terms"]
     assert (layers["kernels.evaluate.self_s"]
             < layers["kernels.evaluate.busy_s"])
-    # H and alpha at every call, and 14 calls outside the series (the
-    # grid's scales and the manifest's constants)
-    assert layers["expr.calls"] == 2 * calls + 14
+    # H and alpha at every call, inside Kernel.kappa, and none outside the
+    # series: the grid's scales and the manifest's constants are read from
+    # the config check's values
+    assert layers["expr.calls"] == 2 * calls
 
 
 def test_traced_levy_moments_counts_every_environment(tmp_path):
@@ -169,7 +170,8 @@ GRID_VALUES_SHA256 = {
 @pytest.mark.parametrize("workload,key", sorted(GRID_VALUES_SHA256))
 def test_benchmark_model_values_are_pinned(workload, key):
     w = WORKLOADS[workload]
-    values = check_config(w.config, w.command)["spec"].grid_values[key]
+    values = getattr(check_config(w.config, w.command)["spec"].check_grid,
+                     key)
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == GRID_VALUES_SHA256[workload, key]
 
@@ -197,13 +199,13 @@ def test_config_check_evaluates_each_model_function_once_per_grid_point(
     monkeypatch.setattr(expr, "_compile", counted)
     monkeypatch.setattr(expr.FuncSpec, "__call__", never)
     def once_per_point(spec):
-        n = len(spec.grid_values["t"])
+        n = len(spec.check_grid.t)
         return {f.ast: n for f in (spec.alpha, spec.b, spec.H) if f}
 
     w = WORKLOADS[name]
     # the benchmark's setup_s builds the spec without the run's times
     spec = build_spec(w.config)
-    assert len(spec.grid_values["t"]) == 257
+    assert len(spec.check_grid.t) == 257
     assert calls == once_per_point(spec)
     calls.clear()
     spec = check_config(w.config, w.command)["spec"]
