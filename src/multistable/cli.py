@@ -335,13 +335,12 @@ def check_config(cfg: dict, command: str) -> dict:
         if at.b[i] == 0.0:
             raise ConfigError(f"config key 'b' vanishes at t = {t!r}, whose "
                               "scaling law takes log|b(t)|")
-        # lfsm-control with H = 1/alpha and equal side weights is refused
-        # by make_process; with unequal ones it is Levy motion
-        if (command == "moments" and spec.tag == "lmmm"
-                and at.kappa[i] == 0.0):
+        # lfsm-control there is refused (equal side weights) or Levy motion
+        if spec.tag == "lmmm" and at.kappa[i] == 0.0:
+            what = ("the scale sigma(t) of the moment scaling law"
+                    if command == "moments" else "every path at t")
             raise ConfigError(f"config key 't' is {t!r}, where H(t) = "
-                              "1/alpha(t) makes the scale sigma(t) of the "
-                              "moment scaling law 0")
+                              f"1/alpha(t) makes {what} 0")
     return run
 
 

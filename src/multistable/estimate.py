@@ -277,6 +277,8 @@ def _holder_theory(spec: ProcessSpec, t: float,
         kappa = float(at.kappa[0])
         if kappa < 0.0:
             return None, "H(t) - 1/alpha(t) < 0: no Holder bound is asserted"
+        if kappa == 0.0 and spec.tag == "lmmm":  # lfsm-control: Levy motion
+            return None, "H(t) = 1/alpha(t): every path is 0 at t"
         return float(at.H[0]), "upper bound H(t)"
     if a < 1.0:
         if alpha_regularity is None:

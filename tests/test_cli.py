@@ -300,6 +300,10 @@ BAD_CONFIGS = [
                              H="2/3+0.1*(t-0.3)",
                              stability_bounds=[1.45, 1.95], tail="none"),
      "'t'"),
+    # and at the holder time: every path is 0 there, so H(t) is no target
+    ("holder", _holder_cfg(process="lmmm", alpha="1.5", H="2/3+0.1*(t-0.3)",
+                           stability_bounds=[1.45, 1.95], tail="none",
+                           t=0.3), "'t'"),
 ]
 
 

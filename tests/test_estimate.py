@@ -112,6 +112,71 @@ class TestDiagonalSamples:
         assert not np.array_equal(a, b)
 
 
+# specs that simulated unchecked at times off the check grid, each with the
+# times of a call and the message that must refuse it, naming the domain or
+# the function, and the time
+_OFF_GRID = {
+    # H(0.6) = 1.1 and H(0.9) = 1.4, beyond the domain (0, 0.4)
+    "lmmm-beyond-domain": (
+        ("lmmm", "1.5", "0.5+t", (0.0, 0.4), 1.1, 1.95), [0.6, 0.9],
+        r"time 0\.6 lies outside the domain \[0\.0, 0\.4\]"),
+    # beyond [0, 1] a levy path is frozen
+    "levy-frozen": (
+        ("levy", "1.5", None, (0.0, 1.0), 1.1, 1.9), [1.5, 2.0],
+        r"time 1\.5 lies outside the domain \[0\.0, 1\.0\]"),
+    # alpha(0.05) = 1.25 < c
+    "levy-alpha-below-c": (
+        ("levy", "1.2+t", None, (0.2, 0.6), 1.4, 1.9), [0.05, 0.3],
+        r"time 0\.05 lies outside the domain \[0\.2, 0\.6\]"),
+    # H = 1.1 at t 0.30005 alone, between the check-grid points k/256
+    "lmmm-H-spike": (
+        ("lmmm", "1.7", "0.5+6000*max(0.0001-abs(t-0.30005),0)", (0.0, 1.0),
+         1.2, 1.95), [0.30005, 0.4],
+        r"'H' is 1\.1 at t=0\.30005"),
+    # alpha(0.3) = 1.735 > d, between the check-grid points k/256
+    "levy-alpha-ripple": (
+        ("levy", "1.5+0.4*sin(256*pi*t)", None, (0.0, 1.0), 1.4, 1.6),
+        [0.3, 0.5], r"'alpha' is 1\.735\d* at t=0\.3"),
+}
+
+
+class TestModelRulesAtEveryTime:
+    @pytest.fixture(params=sorted(_OFF_GRID))
+    def case(self, request):
+        (tag, alpha, H, domain, c, d), times, message = _OFF_GRID[
+            request.param]
+        spec = make_process(tag, _fs(alpha), _fs("1"), H and _fs(H), domain,
+                            c, d)
+        return spec, times, message
+
+    @pytest.mark.parametrize("tail", ["none", "gauss"])
+    def test_diagonal_samples(self, case, tail):
+        spec, times, message = case
+        with pytest.raises(ValueError, match=message):
+            diagonal_samples(spec, times, 4, 50, seed=0, tail=tail)
+
+    def test_holder_pathwise(self, case):
+        spec, times, message = case
+        with pytest.raises(ValueError, match=message):
+            holder_pathwise(spec, times[0], [2.0 ** -8, 2.0 ** -9], 4, 50,
+                            seed=0, tail="none")
+
+    def test_theoretical_scaling(self, case):
+        spec, times, message = case
+        with pytest.raises(ValueError, match=message):
+            theoretical_scaling(spec, times[0], 0.5)
+
+    def test_on_grid_times_are_looked_up(self):
+        # the check grid's values, not fresh ones: nothing is evaluated
+        spec = _lmmm_spec(alpha="1.7+0.2*sin(2*pi*t)", H="0.7+0.1*t")
+        grid = spec.check_grid
+        for f in (spec.alpha, spec.b, spec.H):
+            object.__setattr__(f, "compiled", None)
+        at = spec.at(grid.t[[200, 3, 3]])
+        assert np.array_equal(at.alpha, grid.alpha[[200, 3, 3]])
+        assert np.array_equal(at.kappa, grid.kappa[[200, 3, 3]])
+
+
 class TestScalingFit:
     def _synthetic(self, slope, intercept):
         eps = tuple(2.0 ** -k for k in range(4, 11))
@@ -285,6 +350,22 @@ class TestHolderPathwise:
                               3, 150, seed=3)
         assert est.theory == pytest.approx(0.75)
         assert "upper" in est.theory_note
+
+    def test_lmmm_no_theory_where_kappa_is_zero(self, monkeypatch):
+        # H(0.3) = 1/alpha(0.3): the kernel and every path are 0 at t 0.3
+        spec = make_process("lmmm", _fs("1.5"), _fs("1"),
+                            _fs("2/3+0.1*(t-0.3)"), (0.0, 1.0), 1.45, 1.95)
+        _every_path_is(monkeypatch, lambda g: np.abs(g - 0.3) ** 0.7)
+        est = holder_pathwise(spec, 0.3, [2.0 ** -k for k in range(4, 9)],
+                              3, 150, seed=3)
+        assert est.theory is None
+        assert "every path is 0" in est.theory_note
+        # with unequal side weights the kernel is Levy motion's
+        lfsm = make_process("lfsm-control", _fs("1.5"), _fs("1"), _fs("2/3"),
+                            (0.0, 1.0), 1.45, 1.95, b_minus=0.3)
+        est = holder_pathwise(lfsm, 0.3, [2.0 ** -k for k in range(4, 9)],
+                              3, 150, seed=3)
+        assert est.theory == 2.0 / 3.0
 
     def test_lmmm_no_theory_when_kappa_is_negative(self):
         spec = make_process("lmmm", _fs("1.2"), _fs("1"), _fs("0.5"),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from multistable import expr
+from multistable import cli, expr, kernels
 from multistable.cli import build_spec, check_config
 from multistable.kernels import pair_integral
 
@@ -210,6 +210,36 @@ def test_config_check_evaluates_each_model_function_once_per_grid_point(
     calls.clear()
     spec = check_config(w.config, w.command)["spec"]
     assert calls == once_per_point(spec)
+
+
+@pytest.mark.parametrize("model", ["levy", "lmmm"])
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_model_functions_are_called_only_from_kernel_kappa(
+        monkeypatch, tmp_path, command, model):
+    # the tracer counts FuncSpec.__call__ as expr.calls: every model value
+    # but the lmmm kernel's exponent is read from ProcessSpec.at, so levy,
+    # whose kernel has none, makes no call
+    callers = []
+    call = expr.FuncSpec.__call__
+
+    def recorded(self, t):
+        code = sys._getframe(1).f_code
+        callers.append((code.co_name, code.co_filename))
+        return call(self, t)
+
+    monkeypatch.setattr(expr.FuncSpec, "__call__", recorded)
+    cfg = dict(CASES[command], n_terms=50)
+    if model == "levy":
+        del cfg["H"]
+        cfg.update(process="levy", alpha="1.5+0.3*sin(2*pi*t)",
+                   stability_bounds=[1.1, 1.9])
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    if model == "levy":
+        assert callers == []
+    else:
+        assert callers and set(callers) == {("kappa", kernels.__file__)}
 
 
 # prints the scipy modules loaded after importing the package and running
